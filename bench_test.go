@@ -228,19 +228,26 @@ func BenchmarkStaticAnalysis(b *testing.B) {
 	b.ReportMetric(float64(bodies), "bodies")
 }
 
-// BenchmarkInterpreter measures base (uninstrumented) execution speed.
+// BenchmarkInterpreter measures base (uninstrumented) execution speed
+// on an array kernel (crypt) and an object- and call-heavy program
+// (pmd), at test scale.
 func BenchmarkInterpreter(b *testing.B) {
-	w, _ := workloads.ByName("crypt", workloads.Scale{N: 1, T: 2})
-	compiled := interp.MustCompile(bfj.MustParse(w.Source))
-	var steps uint64
-	for i := 0; i < b.N; i++ {
-		c, err := compiled.Run(interp.NopHook{}, interp.Options{Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		steps = c.Steps
+	for _, name := range []string{"crypt", "pmd"} {
+		b.Run(name, func(b *testing.B) {
+			w, _ := workloads.ByName(name, workloads.TestScale())
+			compiled := interp.MustCompile(bfj.MustParse(w.Source))
+			var steps uint64
+			for i := 0; i < b.N; i++ {
+				c, err := compiled.Run(interp.NopHook{}, interp.Options{Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps = c.Steps
+			}
+			b.ReportMetric(float64(steps)/1e6, "Msteps")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps)/float64(b.N), "ns/step")
+		})
 	}
-	b.ReportMetric(float64(steps)/1e6, "Msteps")
 }
 
 // BenchmarkEntailment measures the solver on a representative

@@ -10,9 +10,12 @@ import (
 // This file implements the closure-compilation layer: each body (setup,
 // thread block, or method) is compiled once into a tree of closures
 // over integer variable slots, replacing per-statement AST dispatch and
-// per-variable map lookups.  This keeps base interpretation fast enough
-// that detector work dominates measured overheads, as it does on the
-// paper's JVM testbed.
+// per-variable map lookups.  Names are resolved at compile time too: a
+// call or fork site carries the classes that declare its method name,
+// and a field access site the classes that declare its field, so run
+// time only compares the receiver's class pointer.  This keeps base
+// interpretation fast enough that detector work dominates measured
+// overheads, as it does on the paper's JVM testbed.
 //
 // Compilation is a separate stage from execution: the closures never
 // capture the executing Interp.  All run-time state (counters, hook,
@@ -51,8 +54,13 @@ func (sc *scope) slot(v expr.Var) int {
 type compiledBody struct {
 	stmts []cstmt
 	sc    *scope
+	// ret is a method's return slot, -1 when it returns nothing.  A
+	// returned variable the body never mentions reads slot 0 ("this").
+	ret int
 }
 
+// newFrame allocates a frame that outlives its creator's call: the
+// root frame of a thread.
 func (cb *compiledBody) newFrame() []Value {
 	f := make([]Value, len(cb.sc.slots))
 	for i := range f {
@@ -68,13 +76,34 @@ func (cb *compiledBody) run(t *Thread) {
 	}
 }
 
+// target is one class's implementation of a method name, the run-time
+// resolution of a call or fork site whose receiver has that class.
+type target struct {
+	class *bfj.Class
+	m     *bfj.Method
+	body  *compiledBody
+}
+
+// fieldSlot is one class's storage for a field name: its index into
+// Object.fields and its volatility in that class.
+type fieldSlot struct {
+	class *bfj.Class
+	index int
+	vol   bool
+}
+
 // compiler builds a Compiled artifact.  It is used single-threaded
-// during Compile; the maps it fills (methods, volatile) are read-only
-// afterwards and therefore safe to share across executions.
+// during Compile; the tables it fills are read-only afterwards and
+// therefore safe to share across executions.
 type compiler struct {
-	prog     *bfj.Program
-	volatile map[string]bool
-	methods  map[*bfj.Method]*compiledBody
+	prog *bfj.Program
+
+	// targets and fields map a method or field name to every class
+	// declaring it, in declaration order, so the first match of a
+	// receiver's class is the declaration LookupMethod and IsVolatile
+	// would find.
+	targets map[string][]target
+	fields  map[string][]fieldSlot
 
 	// fieldChecks numbers the field-check sites so each FieldCheck
 	// carries a dense, per-artifact index (see FieldCheck.Index).
@@ -92,22 +121,21 @@ func cfail(format string, args ...any) {
 func (c *compiler) compileBody(b *bfj.Block) *compiledBody {
 	sc := &scope{slots: map[expr.Var]int{}}
 	stmts := c.compileBlock(b, sc)
-	return &compiledBody{stmts: stmts, sc: sc}
+	return &compiledBody{stmts: stmts, sc: sc, ret: -1}
 }
 
-// compileMethod compiles (and caches) a method body with its parameter
+// compileMethod compiles a method body into cb with its parameter
 // slots laid out first.
-func (c *compiler) compileMethod(m *bfj.Method) *compiledBody {
-	if cb, ok := c.methods[m]; ok {
-		return cb
-	}
-	sc := &scope{slots: map[expr.Var]int{}}
+func (c *compiler) compileMethod(m *bfj.Method, cb *compiledBody) {
+	cb.sc = &scope{slots: map[expr.Var]int{}}
 	for _, p := range m.Params {
-		sc.slot(p)
+		cb.sc.slot(p)
 	}
-	cb := &compiledBody{stmts: c.compileBlock(m.Body, sc), sc: sc}
-	c.methods[m] = cb
-	return cb
+	cb.stmts = c.compileBlock(m.Body, cb.sc)
+	cb.ret = -1
+	if m.Ret != "" {
+		cb.ret = cb.sc.slots[m.Ret]
+	}
 }
 
 func (c *compiler) compileBlock(b *bfj.Block, sc *scope) []cstmt {
@@ -118,12 +146,15 @@ func (c *compiler) compileBlock(b *bfj.Block, sc *scope) []cstmt {
 	return out
 }
 
-// frame accessors --------------------------------------------------------
+// run-time accessors ------------------------------------------------------
+//
+// The accessors are small enough to inline into the closures; their
+// failure paths format the error out of line.
 
 func (t *Thread) slotGet(i int) Value {
 	v := t.cur[i]
 	if v.Kind == kindUndef {
-		fail("read of unassigned variable (slot %d)", i)
+		failUnassigned(i)
 	}
 	return v
 }
@@ -132,34 +163,119 @@ func (t *Thread) slotSet(i int, v Value) {
 	t.cur[i] = v
 }
 
+// getObj and getArr check the kind and convert the reference
+// themselves: calling Value.Obj or Value.Arr after the check would put
+// them over the compiler's inlining budget.
+
 func getObj(t *Thread, slot int, what string) *Object {
-	v := t.slotGet(slot)
+	v := t.cur[slot]
 	if v.Kind != KindObject {
-		fail("%s is not an object (it is %s)", what, v)
+		failNotA(t, slot, what, "an object")
 	}
-	return v.Obj
+	return (*Object)(v.p)
 }
 
 func getArr(t *Thread, slot int, what string) *Array {
-	v := t.slotGet(slot)
+	v := t.cur[slot]
 	if v.Kind != KindArray {
-		fail("%s is not an array (it is %s)", what, v)
+		failNotA(t, slot, what, "an array")
 	}
-	return v.Arr
+	return (*Array)(v.p)
 }
 
 func asInt(v Value, what fmt.Stringer) int64 {
 	if v.Kind != KindInt {
-		fail("expected integer, got %s in %s", v, what)
+		failExpected("integer", v, what)
 	}
 	return v.I
 }
 
 func asBool(v Value, what fmt.Stringer) bool {
 	if v.Kind != KindBool {
-		fail("expected boolean, got %s in %s", v, what)
+		failExpected("boolean", v, what)
 	}
-	return v.B
+	return v.I != 0
+}
+
+//go:noinline
+func failUnassigned(slot int) {
+	fail("read of unassigned variable (slot %d)", slot)
+}
+
+// failNotA reports a slot that holds no value of the wanted kind: it is
+// unassigned, or holds another kind.
+//
+//go:noinline
+func failNotA(t *Thread, slot int, what, kind string) {
+	fail("%s is not %s (it is %s)", what, kind, t.slotGet(slot))
+}
+
+//go:noinline
+func failExpected(kind string, v Value, what fmt.Stringer) {
+	fail("expected %s, got %s in %s", kind, v, what)
+}
+
+// method resolves a call or fork site's targets against the receiver's
+// class and checks the site's argument count.
+func method(targets []target, o *Object, name string, nargs int) *target {
+	for i := range targets {
+		if tg := &targets[i]; tg.class == o.Class {
+			if len(tg.m.Params) != nargs+1 {
+				fail("method %s expects %d args, got %d", tg.m.QualifiedName(), len(tg.m.Params)-1, nargs)
+			}
+			return tg
+		}
+	}
+	fail("class %s has no method %s", o.Class.Name, name)
+	return nil
+}
+
+// field resolves a field access site's slots against o's class: the
+// index into o.fields and the field's volatility there, or -1 when the
+// class does not declare the field (it then lives in o.extra and is
+// never volatile).
+func field(slots []fieldSlot, o *Object) (int, bool) {
+	for i := range slots {
+		if fs := &slots[i]; fs.class == o.Class {
+			return fs.index, fs.vol
+		}
+	}
+	return -1, false
+}
+
+func (o *Object) get(i int, name string) Value {
+	if i >= 0 {
+		return o.fields[i]
+	}
+	return o.extra[name]
+}
+
+func (o *Object) set(i int, name string, v Value) {
+	if i >= 0 {
+		o.fields[i] = v
+		return
+	}
+	if o.extra == nil {
+		o.extra = map[string]Value{}
+	}
+	o.extra[name] = v
+}
+
+// push returns a fresh n-slot frame on top of t's call stack, every
+// slot unassigned.  The caller pops it by restoring t.sp.  Growing the
+// stack starts a new array rather than copying: live frames stay where
+// they are, in the old array their callers still reference.
+func (t *Thread) push(n int) []Value {
+	end := t.sp + n
+	if end > len(t.stack) {
+		t.stack = make([]Value, max(2*len(t.stack), end, 64))
+	}
+	f := t.stack[t.sp:end:end]
+	t.sp = end
+	for i := range f {
+		f[i] = undefValue
+	}
+	return f
 }
 
 // statement compilation ---------------------------------------------------
@@ -195,15 +311,15 @@ func (c *compiler) compileStmt(s bfj.Stmt, sc *scope) cstmt {
 		return func(t *Thread) {
 			in := t.in
 			in.step(t)
-			o := &Object{ID: in.nextObjID, Class: cls, Fields: make(map[string]Value, nf)}
+			o := &Object{ID: in.nextObjID, Class: cls, fields: make([]Value, nf)}
 			in.nextObjID++
 			in.C.BaseWords += uint64(nf) + 1
-			t.slotSet(dst, Value{Kind: KindObject, Obj: o})
+			t.slotSet(dst, objVal(o))
 		}
 	case *bfj.NewArray:
 		dst := sc.slot(x.X)
 		size := c.compileExpr(x.Size, sc)
-		szE := x.Size
+		var szE fmt.Stringer = x.Size
 		return func(t *Thread) {
 			in := t.in
 			in.step(t)
@@ -214,54 +330,50 @@ func (c *compiler) compileStmt(s bfj.Stmt, sc *scope) cstmt {
 			a := &Array{ID: in.nextArrID, Elems: make([]Value, n)}
 			in.nextArrID++
 			in.C.BaseWords += uint64(n) + 1
-			t.slotSet(dst, Value{Kind: KindArray, Arr: a})
+			t.slotSet(dst, arrVal(a))
 		}
 	case *bfj.FieldRead:
 		dst := sc.slot(x.X)
 		obj := sc.slot(x.Y)
-		field := x.F
-		vol := c.volatile[x.F]
-		prog := c.prog
-		pos := x.Pos
+		name, slots, pos := x.F, c.fields[x.F], x.Pos
 		return func(t *Thread) {
 			in := t.in
 			in.step(t)
 			o := getObj(t, obj, string(x.Y))
-			if vol && prog.IsVolatile(o.Class.Name, field) {
+			i, vol := field(slots, o)
+			if vol {
 				in.C.SyncOps++
-				in.hook.VolRead(t.ID, o, field)
+				in.hook.VolRead(t.ID, o, name)
 			} else {
 				in.countAccess(t, false)
-				in.hook.ReadField(t.ID, o, field, pos)
+				in.hook.ReadField(t.ID, o, name, pos)
 			}
-			t.slotSet(dst, o.Fields[field])
+			t.slotSet(dst, o.get(i, name))
 		}
 	case *bfj.FieldWrite:
 		obj := sc.slot(x.Y)
-		field := x.F
-		vol := c.volatile[x.F]
-		prog := c.prog
+		name, slots, pos := x.F, c.fields[x.F], x.Pos
 		e := c.compileExpr(x.E, sc)
-		pos := x.Pos
 		return func(t *Thread) {
 			in := t.in
 			in.step(t)
 			o := getObj(t, obj, string(x.Y))
 			v := e(t)
-			if vol && prog.IsVolatile(o.Class.Name, field) {
+			i, vol := field(slots, o)
+			if vol {
 				in.C.SyncOps++
-				in.hook.VolWrite(t.ID, o, field)
+				in.hook.VolWrite(t.ID, o, name)
 			} else {
 				in.countAccess(t, true)
-				in.hook.WriteField(t.ID, o, field, pos)
+				in.hook.WriteField(t.ID, o, name, pos)
 			}
-			o.Fields[field] = v
+			o.set(i, name, v)
 		}
 	case *bfj.ArrayRead:
 		dst := sc.slot(x.X)
 		arr := sc.slot(x.Y)
 		idx := c.compileExpr(x.Z, sc)
-		idxE := x.Z
+		var idxE fmt.Stringer = x.Z
 		pos := x.Pos
 		return func(t *Thread) {
 			in := t.in
@@ -278,7 +390,7 @@ func (c *compiler) compileStmt(s bfj.Stmt, sc *scope) cstmt {
 	case *bfj.ArrayWrite:
 		arr := sc.slot(x.Y)
 		idx := c.compileExpr(x.Z, sc)
-		idxE := x.Z
+		var idxE fmt.Stringer = x.Z
 		e := c.compileExpr(x.E, sc)
 		pos := x.Pos
 		return func(t *Thread) {
@@ -328,7 +440,7 @@ func (c *compiler) compileStmt(s bfj.Stmt, sc *scope) cstmt {
 		}
 	case *bfj.If:
 		cond := c.compileExpr(x.Cond, sc)
-		condE := x.Cond
+		var condE fmt.Stringer = x.Cond
 		then := c.compileBlock(x.Then, sc)
 		els := c.compileBlock(x.Else, sc)
 		return func(t *Thread) {
@@ -346,7 +458,7 @@ func (c *compiler) compileStmt(s bfj.Stmt, sc *scope) cstmt {
 	case *bfj.Loop:
 		pre := c.compileBlock(x.Pre, sc)
 		cond := c.compileExpr(x.Cond, sc)
-		condE := x.Cond
+		var condE fmt.Stringer = x.Cond
 		post := c.compileBlock(x.Post, sc)
 		return func(t *Thread) {
 			for {
@@ -375,13 +487,14 @@ func (c *compiler) compileStmt(s bfj.Stmt, sc *scope) cstmt {
 			if v.Kind != KindThread {
 				fail("join target is not a thread handle")
 			}
-			for !v.Th.done {
-				t.waitJoin = v.Th
+			th := v.Th()
+			for !th.done {
+				t.waitJoin = th
 				in.block(t)
 			}
 			t.waitJoin = nil
 			in.C.SyncOps++
-			in.hook.Join(t.ID, v.Th.ID)
+			in.hook.Join(t.ID, th.ID)
 		}
 	case *bfj.Check:
 		return c.compileCheck(x, sc)
@@ -409,7 +522,7 @@ func (c *compiler) compileStmt(s bfj.Stmt, sc *scope) cstmt {
 		}
 	case *bfj.Assert:
 		cond := c.compileExpr(x.Cond, sc)
-		condE := x.Cond
+		var condE fmt.Stringer = x.Cond
 		return func(t *Thread) {
 			t.in.step(t)
 			if !asBool(cond(t), condE) {
@@ -420,6 +533,8 @@ func (c *compiler) compileStmt(s bfj.Stmt, sc *scope) cstmt {
 	return func(t *Thread) { fail("unknown statement %T", s) }
 }
 
+// compileCall compiles y.m(args): the callee's frame comes from the
+// calling thread's stack and is popped when the body returns.
 func (c *compiler) compileCall(x *bfj.Call, sc *scope) cstmt {
 	recv := sc.slot(x.Y)
 	args := make([]cexpr, len(x.Args))
@@ -430,44 +545,41 @@ func (c *compiler) compileCall(x *bfj.Call, sc *scope) cstmt {
 	if x.X != "" {
 		dst = sc.slot(x.X)
 	}
-	name := x.M
-	prog := c.prog
-	methods := c.methods
+	name, targets := x.M, c.targets[x.M]
 	return func(t *Thread) {
 		t.in.step(t)
 		o := getObj(t, recv, string(x.Y))
-		m := prog.LookupMethod(o.Class.Name, name)
-		if m == nil {
-			fail("class %s has no method %s", o.Class.Name, name)
-		}
-		if len(m.Params) != len(args)+1 {
-			fail("method %s expects %d args, got %d", m.QualifiedName(), len(m.Params)-1, len(args))
-		}
-		cb := methods[m]
-		frame := cb.newFrame()
-		frame[0] = Value{Kind: KindObject, Obj: o} // "this" is slot 0
+		tg := method(targets, o, name, len(args))
+		cb := tg.body
+		sp := t.sp
+		frame := t.push(len(cb.sc.slots))
+		frame[0] = objVal(o) // "this" is slot 0
 		for i, a := range args {
 			frame[i+1] = a(t)
 		}
 		if t.depth > 512 {
-			fail("call stack overflow in %s", m.QualifiedName())
+			fail("call stack overflow in %s", tg.m.QualifiedName())
 		}
 		saved := t.cur
 		t.cur = frame
 		t.depth++
 		cb.run(t)
 		var ret Value
-		if m.Ret != "" {
-			ret = t.slotGet(cb.sc.slots[m.Ret])
+		if cb.ret >= 0 {
+			ret = t.slotGet(cb.ret)
 		}
 		t.depth--
 		t.cur = saved
+		t.sp = sp
 		if dst >= 0 {
 			t.slotSet(dst, ret)
 		}
 	}
 }
 
+// compileFork compiles h = fork y.m(args).  The new thread's root frame
+// is its own: the forking thread's stack is reused as soon as it
+// returns.
 func (c *compiler) compileFork(x *bfj.Fork, sc *scope) cstmt {
 	recv := sc.slot(x.Y)
 	args := make([]cexpr, len(x.Args))
@@ -475,20 +587,14 @@ func (c *compiler) compileFork(x *bfj.Fork, sc *scope) cstmt {
 		args[i] = c.compileExpr(a, sc)
 	}
 	dst := sc.slot(x.X)
-	name := x.M
-	prog := c.prog
-	methods := c.methods
+	name, targets := x.M, c.targets[x.M]
 	return func(t *Thread) {
 		in := t.in
 		in.step(t)
 		o := getObj(t, recv, string(x.Y))
-		m := prog.LookupMethod(o.Class.Name, name)
-		if m == nil {
-			fail("class %s has no method %s", o.Class.Name, name)
-		}
-		cb := methods[m]
+		cb := method(targets, o, name, len(args)).body
 		frame := cb.newFrame()
-		frame[0] = Value{Kind: KindObject, Obj: o}
+		frame[0] = objVal(o)
 		for i, a := range args {
 			frame[i+1] = a(t)
 		}
@@ -496,7 +602,7 @@ func (c *compiler) compileFork(x *bfj.Fork, sc *scope) cstmt {
 		in.C.SyncOps++
 		in.hook.Fork(t.ID, nt.ID)
 		in.startThread(nt, func() { cb.run(nt) })
-		t.slotSet(dst, Value{Kind: KindThread, Th: nt})
+		t.slotSet(dst, thVal(nt))
 	}
 }
 
@@ -509,7 +615,7 @@ func (c *compiler) compileCheck(x *bfj.Check, sc *scope) cstmt {
 		lo    cexpr
 		hi    cexpr
 		step  cexpr
-		path  expr.Path
+		path  fmt.Stringer
 		poss  []bfj.Pos
 	}
 	items := make([]citem, 0, len(x.Items))
@@ -565,6 +671,9 @@ func (c *compiler) compileCheck(x *bfj.Check, sc *scope) cstmt {
 // expression compilation ---------------------------------------------------
 
 func (c *compiler) compileExpr(e expr.Expr, sc *scope) cexpr {
+	// what names the expression in type errors, converted once here
+	// rather than on every evaluation.
+	var what fmt.Stringer = e
 	switch x := e.(type) {
 	case expr.IntLit:
 		v := IntVal(x.Val)
@@ -583,9 +692,9 @@ func (c *compiler) compileExpr(e expr.Expr, sc *scope) cexpr {
 		inner := c.compileExpr(x.X, sc)
 		switch x.Op {
 		case expr.OpNot:
-			return func(t *Thread) Value { return BoolVal(!asBool(inner(t), e)) }
+			return func(t *Thread) Value { return BoolVal(!asBool(inner(t), what)) }
 		case expr.OpNeg:
-			return func(t *Thread) Value { return IntVal(-asInt(inner(t), e)) }
+			return func(t *Thread) Value { return IntVal(-asInt(inner(t), what)) }
 		}
 	case expr.Binary:
 		l := c.compileExpr(x.L, sc)
@@ -593,52 +702,52 @@ func (c *compiler) compileExpr(e expr.Expr, sc *scope) cexpr {
 		switch x.Op {
 		case expr.OpAnd:
 			return func(t *Thread) Value {
-				if !asBool(l(t), e) {
+				if !asBool(l(t), what) {
 					return BoolVal(false)
 				}
-				return BoolVal(asBool(r(t), e))
+				return BoolVal(asBool(r(t), what))
 			}
 		case expr.OpOr:
 			return func(t *Thread) Value {
-				if asBool(l(t), e) {
+				if asBool(l(t), what) {
 					return BoolVal(true)
 				}
-				return BoolVal(asBool(r(t), e))
+				return BoolVal(asBool(r(t), what))
 			}
 		case expr.OpEq:
-			return func(t *Thread) Value { return BoolVal(valueEq(l(t), r(t))) }
+			return func(t *Thread) Value { return BoolVal(l(t) == r(t)) }
 		case expr.OpNe:
-			return func(t *Thread) Value { return BoolVal(!valueEq(l(t), r(t))) }
+			return func(t *Thread) Value { return BoolVal(l(t) != r(t)) }
 		case expr.OpAdd:
-			return func(t *Thread) Value { return IntVal(asInt(l(t), e) + asInt(r(t), e)) }
+			return func(t *Thread) Value { return IntVal(asInt(l(t), what) + asInt(r(t), what)) }
 		case expr.OpSub:
-			return func(t *Thread) Value { return IntVal(asInt(l(t), e) - asInt(r(t), e)) }
+			return func(t *Thread) Value { return IntVal(asInt(l(t), what) - asInt(r(t), what)) }
 		case expr.OpMul:
-			return func(t *Thread) Value { return IntVal(asInt(l(t), e) * asInt(r(t), e)) }
+			return func(t *Thread) Value { return IntVal(asInt(l(t), what) * asInt(r(t), what)) }
 		case expr.OpDiv:
 			return func(t *Thread) Value {
-				d := asInt(r(t), e)
+				d := asInt(r(t), what)
 				if d == 0 {
 					fail("division by zero")
 				}
-				return IntVal(expr.FloorDiv(asInt(l(t), e), d))
+				return IntVal(expr.FloorDiv(asInt(l(t), what), d))
 			}
 		case expr.OpMod:
 			return func(t *Thread) Value {
-				d := asInt(r(t), e)
+				d := asInt(r(t), what)
 				if d == 0 {
 					fail("modulo by zero")
 				}
-				return IntVal(expr.FloorMod(asInt(l(t), e), d))
+				return IntVal(expr.FloorMod(asInt(l(t), what), d))
 			}
 		case expr.OpLt:
-			return func(t *Thread) Value { return BoolVal(asInt(l(t), e) < asInt(r(t), e)) }
+			return func(t *Thread) Value { return BoolVal(asInt(l(t), what) < asInt(r(t), what)) }
 		case expr.OpLe:
-			return func(t *Thread) Value { return BoolVal(asInt(l(t), e) <= asInt(r(t), e)) }
+			return func(t *Thread) Value { return BoolVal(asInt(l(t), what) <= asInt(r(t), what)) }
 		case expr.OpGt:
-			return func(t *Thread) Value { return BoolVal(asInt(l(t), e) > asInt(r(t), e)) }
+			return func(t *Thread) Value { return BoolVal(asInt(l(t), what) > asInt(r(t), what)) }
 		case expr.OpGe:
-			return func(t *Thread) Value { return BoolVal(asInt(l(t), e) >= asInt(r(t), e)) }
+			return func(t *Thread) Value { return BoolVal(asInt(l(t), what) >= asInt(r(t), what)) }
 		}
 	}
 	return func(t *Thread) Value {

@@ -65,6 +65,11 @@ type Thread struct {
 	depth  int   // call depth
 	resume chan struct{}
 
+	// stack holds the frames of the thread's active calls; sp is its
+	// first free slot (see push).
+	stack []Value
+	sp    int
+
 	// Block conditions (at most one non-nil/zero at a time).
 	waitLock *Object
 	waitJoin *Thread
@@ -85,7 +90,6 @@ type Compiled struct {
 	prog    *bfj.Program
 	setup   *compiledBody
 	threads []*compiledBody
-	methods map[*bfj.Method]*compiledBody
 }
 
 // Program returns the source AST the artifact was compiled from.
@@ -106,26 +110,30 @@ func Compile(prog *bfj.Program) (c *Compiled, err error) {
 		}
 	}()
 	cp := &compiler{
-		prog:     prog,
-		volatile: map[string]bool{},
-		methods:  map[*bfj.Method]*compiledBody{},
+		prog:    prog,
+		targets: map[string][]target{},
+		fields:  map[string][]fieldSlot{},
 	}
+	// Every method's body exists before any body is compiled, so call
+	// sites can resolve to methods compiled after them.  bodies follows
+	// prog.Methods() order.
+	var bodies []*compiledBody
 	for _, cl := range prog.Classes {
-		for _, f := range cl.Fields {
-			if f.Volatile {
-				cp.volatile[f.Name] = true
-			}
+		for i, f := range cl.Fields {
+			cp.fields[f.Name] = append(cp.fields[f.Name], fieldSlot{class: cl, index: i, vol: f.Volatile})
+		}
+		for _, m := range cl.Methods {
+			cb := &compiledBody{}
+			bodies = append(bodies, cb)
+			cp.targets[m.Name] = append(cp.targets[m.Name], target{class: cl, m: m, body: cb})
 		}
 	}
-	// Methods are compiled eagerly so the method map is frozen before
-	// the first execution reads it.
-	for _, m := range prog.Methods() {
-		cp.compileMethod(m)
+	for i, m := range prog.Methods() {
+		cp.compileMethod(m, bodies[i])
 	}
 	out := &Compiled{
-		prog:    prog,
-		setup:   cp.compileBody(prog.Setup),
-		methods: cp.methods,
+		prog:  prog,
+		setup: cp.compileBody(prog.Setup),
 	}
 	for _, b := range prog.Threads {
 		out.threads = append(out.threads, cp.compileBody(b))
@@ -151,10 +159,11 @@ type Interp struct {
 
 	// ctx cancels the run: the scheduler polls it between time slices
 	// and unwinds every thread goroutine before returning ctx.Err().
-	ctx     context.Context
-	rng     *rand.Rand
-	threads []*Thread
-	back    chan struct{}
+	ctx      context.Context
+	rng      *rand.Rand
+	threads  []*Thread
+	runnable []*Thread // scratch for schedule, reused every slice
+	back     chan struct{}
 
 	nextObjID int
 	nextArrID int
@@ -321,7 +330,7 @@ func (in *Interp) schedule() error {
 			in.abortAll()
 			return fmt.Errorf("%w (%d)", ErrStepLimit, in.opts.MaxSteps)
 		}
-		var runnable []*Thread
+		runnable := in.runnable[:0]
 		alive := false
 		for _, t := range in.threads {
 			if t.done {
@@ -332,6 +341,7 @@ func (in *Interp) schedule() error {
 				runnable = append(runnable, t)
 			}
 		}
+		in.runnable = runnable
 		if !alive {
 			return nil
 		}
@@ -411,24 +421,4 @@ func (in *Interp) countCheck(t *Thread) {
 // block parks the thread until its wait condition clears.
 func (in *Interp) block(t *Thread) {
 	in.yield(t)
-}
-
-func valueEq(l, r Value) bool {
-	if l.Kind != r.Kind {
-		return false
-	}
-	switch l.Kind {
-	case KindInt:
-		return l.I == r.I
-	case KindBool:
-		return l.B == r.B
-	case KindObject:
-		return l.Obj == r.Obj
-	case KindArray:
-		return l.Arr == r.Arr
-	case KindThread:
-		return l.Th == r.Th
-	default:
-		return false
-	}
 }

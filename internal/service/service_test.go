@@ -188,6 +188,40 @@ func TestErrorCodes(t *testing.T) {
 	}
 }
 
+// TestForkArityMismatchKeepsServing: bfj.CheckProgram admits a fork
+// whose arity some class declares, even when the receiver's class
+// declares the method with another arity.  That request fails as a
+// program error, and the daemon goes on serving.
+func TestForkArityMismatchKeepsServing(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const forkArity = `class A { method m() { x = 1; } }
+class B { method m(p, q, r) { x = p; } }
+setup { a = new A; h = fork a.m(1, 2, 3); join h; }
+`
+	resp, data := postRun(t, ts.URL, RunRequest{Program: forkArity})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422 (%s)", resp.StatusCode, data)
+	}
+	if code := errorCode(t, data); code != "program" {
+		t.Errorf("code %q, want %q", code, "program")
+	}
+	if !bytes.Contains(data, []byte("method A.m expects 0 args, got 3")) {
+		t.Errorf("error does not name the arity mismatch: %s", data)
+	}
+
+	vresp, err := http.Get(ts.URL + "/v1/version")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vresp.Body.Close()
+	if vresp.StatusCode != http.StatusOK {
+		t.Errorf("/v1/version after the failed request: status %d", vresp.StatusCode)
+	}
+	if resp, data := postRun(t, ts.URL, RunRequest{Program: clean}); resp.StatusCode != http.StatusOK {
+		t.Errorf("run after the failed request: status %d (%s)", resp.StatusCode, data)
+	}
+}
+
 // TestStatsEndpoint: cache counters are surfaced and move with traffic.
 func TestStatsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
