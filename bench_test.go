@@ -209,12 +209,13 @@ func ablate(b *testing.B, base *bfj.Program) {
 
 // BenchmarkStaticAnalysis measures StaticBF's analysis cost over all
 // workload programs (§6.1: the paper reports 0.16s per method on its
-// benchmark suite).
+// benchmark suite), with its allocations and the time per analyzed body.
 func BenchmarkStaticAnalysis(b *testing.B) {
 	var progs []*bfj.Program
 	for _, w := range workloads.All(workloads.Scale{N: 1, T: 2}) {
 		progs = append(progs, bfj.MustParse(w.Source))
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	bodies := 0
 	for i := 0; i < b.N; i++ {
@@ -226,6 +227,7 @@ func BenchmarkStaticAnalysis(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(bodies), "bodies")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(bodies)/float64(b.N), "ns/body")
 }
 
 // BenchmarkInterpreter measures base (uninstrumented) execution speed

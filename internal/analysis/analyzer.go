@@ -12,8 +12,6 @@ import (
 
 // Options configures the analyzer.
 type Options struct {
-	// MaxLoopIters caps invariant-refinement fixpoint iterations.
-	MaxLoopIters int
 	// NoAnticipation disables anticipated-access reasoning (ablation).
 	NoAnticipation bool
 	// NoCoalescing disables the post-analysis path coalescing (ablation).
@@ -28,7 +26,7 @@ type Options struct {
 
 // DefaultOptions returns the standard configuration.
 func DefaultOptions() Options {
-	return Options{MaxLoopIters: 12}
+	return Options{}
 }
 
 // Stats accumulates static-analysis metrics (§6.1, Table 1).
@@ -50,9 +48,6 @@ type Analyzer struct {
 
 // New creates an analyzer for the program.
 func New(prog *bfj.Program, opts Options) *Analyzer {
-	if opts.MaxLoopIters == 0 {
-		opts.MaxLoopIters = 12
-	}
 	return &Analyzer{prog: prog, kills: killset.Compute(prog), opts: opts}
 }
 
@@ -142,15 +137,17 @@ func (a *Analyzer) Instrument() *bfj.Program {
 // instrumented block.
 func (a *Analyzer) AnalyzeBody(b *bfj.Block, params []expr.Var) *bfj.Block {
 	renamed := insertRenames(b, params)
+	// One solver table serves the body's three passes; it goes with them.
+	tab := newSolverTable()
 
 	p1 := &pass1{a: a, pre: map[*bfj.Block][]History{}, loopInv: map[*bfj.Loop]History{}, loopTest: map[*bfj.Loop]History{}}
-	p1.block(renamed, NewHistory())
+	p1.block(renamed, bodyHistory(tab))
 
 	p2 := &pass2{a: a, p1: p1, ant: map[*bfj.Block][]AntSet{}, loopHead: map[*bfj.Loop]AntSet{}}
 	p2.block(renamed, NewAntSet())
 
 	p3 := &pass3{a: a, p1: p1, p2: p2}
-	out, h := p3.block(renamed, NewHistory())
+	out, h := p3.block(renamed, bodyHistory(tab))
 	// [Stmt]/[Method]: final checks at the body's end.
 	final := Checks(h, NewAntSet())
 	p3.emitCheck(out, h, final)
@@ -163,7 +160,7 @@ func (a *Analyzer) AnalyzeBody(b *bfj.Block, params []expr.Var) *bfj.Block {
 func (a *Analyzer) AnalyzeContexts(b *bfj.Block, params []expr.Var) ([]Ctx, *bfj.Block) {
 	renamed := insertRenames(b, params)
 	p1 := &pass1{a: a, pre: map[*bfj.Block][]History{}, loopInv: map[*bfj.Loop]History{}, loopTest: map[*bfj.Loop]History{}}
-	p1.block(renamed, NewHistory())
+	p1.block(renamed, bodyHistory(newSolverTable()))
 	p2 := &pass2{a: a, p1: p1, ant: map[*bfj.Block][]AntSet{}, loopHead: map[*bfj.Loop]AntSet{}}
 	p2.block(renamed, NewAntSet())
 	n := len(renamed.Stmts)
@@ -273,29 +270,49 @@ func walkExpr(e expr.Expr, visit func(expr.Expr)) {
 }
 
 // substHistory computes H[y := x] for [Rename], dropping facts whose
-// substitution is ill-formed.
+// substitution is ill-formed.  Facts not mentioning y keep their keys;
+// the rest are re-keyed, in key order, merging into equal keys.
 func substHistory(h History, y, x expr.Var) History {
-	out := NewHistory()
-	for _, f := range h.Facts() {
-		switch v := f.(type) {
+	n := History{facts: make([]keyed[Fact], 0, len(h.facts)), solver: &solverCell{tab: h.table()}}
+	for _, kf := range h.facts {
+		var f Fact
+		switch v := kf.f.(type) {
 		case BoolFact:
+			if !expr.Mentions(v.E, y) {
+				n.facts = insertKeyed(n.facts, kf, mergeFactPositions)
+				continue
+			}
 			e, ok := expr.Subst(v.E, y, expr.V(x))
-			if ok {
-				out = out.Add(BoolFact{E: e})
+			if !ok {
+				continue
 			}
+			f = BoolFact{E: e}
 		case AccessFact:
-			p, ok := expr.SubstPath(v.Path, y, expr.V(x))
-			if ok {
-				out = out.Add(AccessFact{Kind: v.Kind, Path: p, Positions: v.Positions})
+			if !expr.PathMentions(v.Path, y) {
+				n.facts = insertKeyed(n.facts, kf, mergeFactPositions)
+				continue
 			}
+			p, ok := expr.SubstPath(v.Path, y, expr.V(x))
+			if !ok {
+				continue
+			}
+			f = AccessFact{Kind: v.Kind, Path: p, Positions: v.Positions}
 		case CheckFact:
-			p, ok := expr.SubstPath(v.Path, y, expr.V(x))
-			if ok {
-				out = out.Add(CheckFact{Kind: v.Kind, Path: p})
+			if !expr.PathMentions(v.Path, y) {
+				n.facts = insertKeyed(n.facts, kf, mergeFactPositions)
+				continue
 			}
+			p, ok := expr.SubstPath(v.Path, y, expr.V(x))
+			if !ok {
+				continue
+			}
+			f = CheckFact{Kind: v.Kind, Path: p}
+		default:
+			continue
 		}
+		n.facts = insertFact(n.facts, f)
 	}
-	return out
+	return n
 }
 
 // killEffectsHistory applies a call's kill set to the history.
@@ -404,7 +421,7 @@ func (p *pass1) loop(lp *bfj.Loop, hin History) History {
 	// (entailed on loop entry and preserved around the back edge).
 	limit := len(candidates) + 1
 	for iter := 0; iter < limit; iter++ {
-		hinv := NewHistory(candidates...)
+		hinv := hin.withFacts(candidates...)
 		hTest := p.block(lp.Pre, hinv)
 		hBack0 := hTest.Add(BoolFact{E: expr.Not(lp.Cond)})
 		hBack := p.block(lp.Post, hBack0)
@@ -421,7 +438,7 @@ func (p *pass1) loop(lp *bfj.Loop, hin History) History {
 	}
 	// Re-run with the final invariant so stored per-point states are
 	// consistent with it.
-	hinv := NewHistory(candidates...)
+	hinv := hin.withFacts(candidates...)
 	p.loopInv[lp] = hinv
 	hTest := p.block(lp.Pre, hinv)
 	hBack0 := hTest.Add(BoolFact{E: expr.Not(lp.Cond)})
@@ -450,41 +467,29 @@ func findInductionVars(lp *bfj.Loop, hin History) []inductionVar {
 			renames[x.X] = x.Y
 		case *bfj.Assign:
 			l := expr.Linearize(x.E)
-			if len(l.Coef) != 1 {
+			if l.Len() != 1 {
 				continue
 			}
-			for k, c := range l.Coef {
-				if c != 1 {
-					continue
-				}
-				old, okT := termVar(k)
-				if !okT {
-					continue
-				}
-				if renames[old] != x.X || l.Const == 0 {
-					continue
-				}
-				iv := inductionVar{v: x.X, step: l.Const}
-				iv.init = initialValue(hin, x.X)
-				out = append(out, iv)
+			t := l.Term(0)
+			if t.Coef != 1 || t.Key.Kind != expr.KindVar || t.Key.Name == "" {
+				continue
 			}
+			if renames[expr.Var(t.Key.Name)] != x.X || l.Const == 0 {
+				continue
+			}
+			iv := inductionVar{v: x.X, step: l.Const}
+			iv.init = initialValue(hin, x.X)
+			out = append(out, iv)
 		}
 	}
 	return out
 }
 
-func termVar(key string) (expr.Var, bool) {
-	if len(key) > 2 && key[0] == 'v' && key[1] == ':' {
-		return expr.Var(key[2:]), true
-	}
-	return "", false
-}
-
 // initialValue finds an expression e0 with hin ⊢ v = e0 that does not
 // mention v, preferring a syntactic "v == e0" fact.
 func initialValue(hin History, v expr.Var) expr.Expr {
-	for _, f := range hin.Facts() {
-		b, ok := f.(BoolFact)
+	for _, kf := range hin.facts {
+		b, ok := kf.f.(BoolFact)
 		if !ok {
 			continue
 		}

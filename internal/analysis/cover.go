@@ -78,8 +78,8 @@ type pathFact struct {
 
 func accessFacts(h History) []pathFact {
 	var out []pathFact
-	for _, f := range h.Facts() {
-		if a, ok := f.(AccessFact); ok {
+	for _, kf := range h.facts {
+		if a, ok := kf.f.(AccessFact); ok {
 			out = append(out, pathFact{a.Kind, a.Path})
 		}
 	}
@@ -88,8 +88,8 @@ func accessFacts(h History) []pathFact {
 
 func checkFacts(h History) []pathFact {
 	var out []pathFact
-	for _, f := range h.Facts() {
-		if c, ok := f.(CheckFact); ok {
+	for _, kf := range h.facts {
+		if c, ok := kf.f.(CheckFact); ok {
 			out = append(out, pathFact{c.Kind, c.Path})
 		}
 	}
@@ -97,9 +97,9 @@ func checkFacts(h History) []pathFact {
 }
 
 func antFacts(a AntSet) []pathFact {
-	var out []pathFact
-	for _, f := range a.Facts() {
-		out = append(out, pathFact{f.Kind, f.Path})
+	out := make([]pathFact, len(a.facts))
+	for i, kf := range a.facts {
+		out[i] = pathFact{kf.f.Kind, kf.f.Path}
 	}
 	return out
 }
@@ -124,8 +124,11 @@ func EntailsAnt(h History, a AntSet, kind bfj.AccessKind, path expr.Path) bool {
 func EntailsBool(h History, e expr.Expr) bool { return h.Solver().Entails(e) }
 
 // EntailsFact decides H ⊢ h for an arbitrary history fact.
-func EntailsFact(h History, f Fact) bool {
-	if h.Has(f) {
+func EntailsFact(h History, f Fact) bool { return entailsFact(h, f.Key(), f) }
+
+// entailsFact is EntailsFact for a fact whose key is known.
+func entailsFact(h History, key string, f Fact) bool {
+	if h.hasKey(key) {
 		return true
 	}
 	switch x := f.(type) {
@@ -144,38 +147,28 @@ func EntailsFact(h History, f Fact) bool {
 // ---------------------------------------------------------------------------
 
 // MeetHistory computes H1 ⊓ H2 = {h ∈ H1 ∪ H2 : H1 ⊢ h, H2 ⊢ h}.
+// The candidates are the union of the two key-sorted fact lists, taking
+// h1's fact where both have the key.
 func MeetHistory(h1, h2 History) History {
-	out := NewHistory()
-	seen := map[string]bool{}
-	for _, src := range []History{h1, h2} {
-		for _, f := range src.Facts() {
-			if seen[f.Key()] {
-				continue
-			}
-			seen[f.Key()] = true
-			if EntailsFact(h1, f) && EntailsFact(h2, f) {
-				out = out.Add(f)
-			}
+	var out []Fact
+	unionKeys(h1.facts, h2.facts, func(kf keyed[Fact]) {
+		if entailsFact(h1, kf.key, kf.f) && entailsFact(h2, kf.key, kf.f) {
+			out = append(out, kf.f)
 		}
-	}
-	return out
+	})
+	return h1.withFacts(out...)
 }
 
 // MeetAnt computes H1•A1 ⊓ H2•A2 = {a ∈ A1 ∪ A2 : H1•A1 ⊢ a, H2•A2 ⊢ a}.
+// As in MeetHistory, the candidates are the key-sorted union, taking
+// A1's fact where both have the key.
 func MeetAnt(h1 History, a1 AntSet, h2 History, a2 AntSet) AntSet {
-	out := NewAntSet()
-	seen := map[string]bool{}
-	for _, src := range []AntSet{a1, a2} {
-		for _, f := range src.Facts() {
-			if seen[f.Key()] {
-				continue
-			}
-			seen[f.Key()] = true
-			if EntailsAnt(h1, a1, f.Kind, f.Path) && EntailsAnt(h2, a2, f.Kind, f.Path) {
-				out = out.Add(f)
-			}
+	var out AntSet
+	unionKeys(a1.facts, a2.facts, func(kf keyed[AntFact]) {
+		if EntailsAnt(h1, a1, kf.f.Kind, kf.f.Path) && EntailsAnt(h2, a2, kf.f.Kind, kf.f.Path) {
+			out.facts = append(out.facts, kf)
 		}
-	}
+	})
 	return out
 }
 
@@ -188,8 +181,8 @@ func MeetAnt(h1 History, a1 AntSet, h2 History, a2 AntSet) AntSet {
 // release/acquire variant where every obligation must be discharged.
 func Checks(h History, a AntSet) []bfj.CheckItem {
 	var out []bfj.CheckItem
-	for _, f := range h.Facts() {
-		acc, ok := f.(AccessFact)
+	for _, kf := range h.facts {
+		acc, ok := kf.f.(AccessFact)
 		if !ok {
 			continue
 		}
@@ -212,8 +205,8 @@ func Checks(h History, a AntSet) []bfj.CheckItem {
 func ChecksVs(h, hPrime History, a AntSet) []bfj.CheckItem {
 	var out []bfj.CheckItem
 	primeFacts := accessFacts(hPrime)
-	for _, f := range h.Facts() {
-		acc, ok := f.(AccessFact)
+	for _, kf := range h.facts {
+		acc, ok := kf.f.(AccessFact)
 		if !ok {
 			continue
 		}

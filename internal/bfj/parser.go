@@ -40,10 +40,20 @@ func MustParse(src string) *Program {
 	return p
 }
 
+// MaxNesting bounds how deeply expressions (parentheses, index brackets
+// and prefix operators) and blocks may nest.  The parser descends
+// recursively, so without a bound a source of a few hundred thousand
+// nested parentheses would exhaust the goroutine stack, a fatal error no
+// recover can catch; past the bound Parse returns an ordinary error.
+const MaxNesting = 1000
+
 type parser struct {
 	toks []token
 	pos  int
 	nTmp int
+	// exprDepth and blockDepth count the expressions and blocks the
+	// parser is inside, each bounded by MaxNesting.
+	exprDepth, blockDepth int
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
@@ -226,9 +236,14 @@ func (*retMarker) isStmt() {}
 // ---------------------------------------------------------------------------
 
 func (p *parser) parseBlock() (*Block, error) {
-	if _, err := p.expect("{"); err != nil {
+	t, err := p.expect("{")
+	if err != nil {
 		return nil, err
 	}
+	if err := p.nest(&p.blockDepth, t, "blocks"); err != nil {
+		return nil, err
+	}
+	defer func() { p.blockDepth-- }()
 	b := &Block{}
 	for !p.eat("}") {
 		if err := p.parseStmt(b); err != nil {
@@ -435,7 +450,13 @@ func (p *parser) parseIf(out *Block) error {
 	els := &Block{}
 	if p.eat("else") {
 		if p.at("if") {
-			if err := p.parseIf(els); err != nil {
+			// The else-if chain nests one If inside the other's else block.
+			if err := p.nest(&p.blockDepth, p.cur(), "blocks"); err != nil {
+				return err
+			}
+			err := p.parseIf(els)
+			p.blockDepth--
+			if err != nil {
 				return err
 			}
 		} else {
@@ -492,9 +513,14 @@ func (p *parser) refreshTemps(hoists []Stmt, cond expr.Expr) ([]Stmt, expr.Expr)
 // pretty-printer emits, so instrumented programs round-trip.
 func (p *parser) parseLoop(out *Block) error {
 	p.advance() // loop
-	if _, err := p.expect("{"); err != nil {
+	t, err := p.expect("{")
+	if err != nil {
 		return err
 	}
+	if err := p.nest(&p.blockDepth, t, "blocks"); err != nil {
+		return err
+	}
+	defer func() { p.blockDepth-- }()
 	pre := &Block{}
 	var cond expr.Expr
 	post := &Block{}
@@ -880,6 +906,15 @@ func (p *parser) parseCheckItem() (CheckItem, error) {
 // heap reads are forbidden (check-path positions).
 func (p *parser) parseExpr(out *Block) (expr.Expr, error) { return p.parseOr(out) }
 
+// nest enters one more level of nesting at token t, counted in depth,
+// and fails past MaxNesting; the caller decrements depth on the way out.
+func (p *parser) nest(depth *int, t token, what string) error {
+	if *depth++; *depth > MaxNesting {
+		return p.errf(t, "%s nested deeper than %d", what, MaxNesting)
+	}
+	return nil
+}
+
 func (p *parser) parseOr(out *Block) (expr.Expr, error) {
 	l, err := p.parseAnd(out)
 	if err != nil {
@@ -985,15 +1020,24 @@ func (p *parser) parseMul(out *Block) (expr.Expr, error) {
 }
 
 func (p *parser) parseUnary(out *Block) (expr.Expr, error) {
+	t := p.cur()
 	switch {
 	case p.eat("!"):
+		if err := p.nest(&p.exprDepth, t, "expressions"); err != nil {
+			return nil, err
+		}
 		x, err := p.parseUnary(out)
+		p.exprDepth--
 		if err != nil {
 			return nil, err
 		}
 		return expr.Not(x), nil
 	case p.eat("-"):
+		if err := p.nest(&p.exprDepth, t, "expressions"); err != nil {
+			return nil, err
+		}
 		x, err := p.parseUnary(out)
+		p.exprDepth--
 		if err != nil {
 			return nil, err
 		}
@@ -1032,8 +1076,11 @@ func (p *parser) parsePostfix(out *Block) (expr.Expr, error) {
 		}
 		e = expr.LenOf{Base: expr.Var(a)}
 	case p.at("("):
-		p.advance()
+		if err := p.nest(&p.exprDepth, p.advance(), "expressions"); err != nil {
+			return nil, err
+		}
 		inner, err := p.parseExpr(out)
+		p.exprDepth--
 		if err != nil {
 			return nil, err
 		}
@@ -1074,8 +1121,11 @@ func (p *parser) parsePostfix(out *Block) (expr.Expr, error) {
 				return nil, p.errf(p.cur(), "array indexing requires a variable base")
 			}
 			pos := posOf(p.cur())
-			p.advance()
+			if err := p.nest(&p.exprDepth, p.advance(), "expressions"); err != nil {
+				return nil, err
+			}
 			idx, err := p.parseExpr(out)
+			p.exprDepth--
 			if err != nil {
 				return nil, err
 			}

@@ -464,3 +464,57 @@ setup { }`)
 		t.Error("Methods() wrong")
 	}
 }
+
+// TestParseNestingLimit: expressions and blocks nest up to MaxNesting
+// levels; one level more is an ordinary parse error, not a stack
+// overflow.
+func TestParseNestingLimit(t *testing.T) {
+	n := MaxNesting
+	cases := []struct {
+		name string
+		src  func(depth int) string
+		// base is the nesting the rest of the program adds: the setup
+		// block is one block level.
+		base int
+	}{
+		{"parentheses", func(d int) string {
+			return "setup { x = " + strings.Repeat("(", d) + "1" + strings.Repeat(")", d) + "; }"
+		}, 0},
+		{"prefix operators", func(d int) string {
+			return "setup { y = 1; x = " + strings.Repeat("- ", d) + "y; }"
+		}, 0},
+		{"index brackets", func(d int) string {
+			return "setup { a = newarray 1; x = " + strings.Repeat("a[", d) + "0" + strings.Repeat("]", d) + "; }"
+		}, 0},
+		{"blocks", func(d int) string {
+			return "setup { " + strings.Repeat("if (true) { ", d) + strings.Repeat("} ", d) + "}"
+		}, 1},
+		{"loops", func(d int) string {
+			return "setup { " + strings.Repeat("loop { if (true) break; ", d) + strings.Repeat("} ", d) + "}"
+		}, 1},
+		{"else-if chain", func(d int) string {
+			// The first if's then-block and each else-if's then-block
+			// add one level beyond the chain itself.
+			return "setup { if (true) { } " + strings.Repeat("else if (true) { } ", d) + "}"
+		}, 2},
+	}
+	for _, c := range cases {
+		if _, err := Parse(c.src(n - c.base)); err != nil {
+			t.Errorf("%s at the limit: %v", c.name, err)
+		}
+		_, err := Parse(c.src(n - c.base + 1))
+		if err == nil || !strings.Contains(err.Error(), "nested deeper than") {
+			t.Errorf("%s one past the limit: err = %v, want a nesting error", c.name, err)
+		}
+	}
+}
+
+// TestParseDeepParenthesesFails: 450k nested parentheses (about 900 KB,
+// under bigfootd's request limit) once overflowed the parser's stack.
+func TestParseDeepParenthesesFails(t *testing.T) {
+	const d = 450000
+	src := "setup { x = " + strings.Repeat("(", d) + "1" + strings.Repeat(")", d) + "; }"
+	if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), "expressions nested deeper than") {
+		t.Fatalf("err = %v, want a nesting error", err)
+	}
+}

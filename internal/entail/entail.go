@@ -22,8 +22,10 @@
 package entail
 
 import (
-	"fmt"
+	"cmp"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"bigfoot/internal/expr"
@@ -37,14 +39,12 @@ const (
 )
 
 // Solver holds a set of boolean hypotheses in solved form and answers
-// entailment queries against them. A Solver is immutable after creation.
+// entailment queries against them.  A Solver is immutable after creation
+// apart from its query caches, so it is not safe for concurrent use.
 type Solver struct {
-	// sub maps an eliminated term key to its solved linear form over the
+	// sub maps an eliminated term to its solved linear form over the
 	// remaining terms.
-	sub map[string]expr.Linear
-	// subExpr remembers the expression form of the eliminated variable,
-	// needed when canonicalizing select bases.
-	repVar map[expr.Var]expr.Var
+	sub map[expr.TermKey]expr.Linear
 	// ineqs are canonicalized constraints, each meaning l >= 0.
 	ineqs []expr.Linear
 	// diseqs are canonicalized constraints, each meaning l != 0.
@@ -52,7 +52,20 @@ type Solver struct {
 	// lits holds opaque boolean facts by canonical rendering.
 	lits map[string]bool
 
-	cache map[string]bool
+	// entailed caches Entails by the query's rendering; nonNeg caches
+	// proveNonNeg by the canonical form's Key.
+	entailed, nonNeg map[string]bool
+
+	// lin and query are scratch storage, reused by every query: the
+	// linearization being canonicalized and the query's canonical form.
+	// A user takes one (leaving the zero form) and puts it back when
+	// done, so nested users never share storage.
+	lin, query expr.Linear
+	// ineqKeys are the sorted distinct term keys of ineqs (computed on
+	// the first refutation); system and fm are the refutations' storage.
+	ineqKeys []expr.TermKey
+	system   []expr.Linear
+	fm       fm
 }
 
 // New builds a solver from the hypothesis set.  Conjunctions are split;
@@ -60,10 +73,10 @@ type Solver struct {
 // constraints; anything else is recorded for syntactic entailment.
 func New(facts []expr.Expr) *Solver {
 	s := &Solver{
-		sub:    map[string]expr.Linear{},
-		repVar: map[expr.Var]expr.Var{},
-		lits:   map[string]bool{},
-		cache:  map[string]bool{},
+		sub:      map[expr.TermKey]expr.Linear{},
+		lits:     map[string]bool{},
+		entailed: map[string]bool{},
+		nonNeg:   map[string]bool{},
 	}
 	var flat []expr.Expr
 	for _, f := range facts {
@@ -93,7 +106,7 @@ func New(facts []expr.Expr) *Solver {
 			var next []expr.Expr
 			for _, eq := range pending {
 				b := eq.(expr.Binary)
-				l := s.canonLinear(expr.Sub(b.L, b.R))
+				l := s.canonLinear(b.L, b.R)
 				if s.absorbEquality(l, varsOnly) {
 					changed = true
 				} else {
@@ -106,7 +119,7 @@ func New(facts []expr.Expr) *Solver {
 	// Unabsorbed equalities become paired inequalities.
 	for _, eq := range pending {
 		b := eq.(expr.Binary)
-		l := s.canonLinear(expr.Sub(b.L, b.R))
+		l := s.canonLinear(b.L, b.R)
 		s.ineqs = append(s.ineqs, tighten(l), tighten(negate(l)))
 	}
 
@@ -143,22 +156,23 @@ func (s *Solver) absorbEquality(l expr.Linear, varsOnly bool) bool {
 	}
 	// Prefer eliminating plain variables over heap terms, and prefer
 	// primed/temp names (renaming artifacts) over source names so that
-	// canonical forms read naturally.
-	keys := l.Terms()
+	// canonical forms read naturally.  The candidates start in key order;
+	// the (unstable) rank sort then fixes the order they are tried in.
+	keys := make([]expr.TermKey, l.Len())
+	for i := range keys {
+		keys[i] = l.Term(i).Key
+	}
 	sort.Slice(keys, func(i, j int) bool { return elimRank(keys[i]) > elimRank(keys[j]) })
 	for _, k := range keys {
-		if varsOnly && !strings.HasPrefix(k, "v:") {
+		if varsOnly && k.Kind != expr.KindVar {
 			continue
 		}
-		c := l.Coef[k]
+		c := l.Coef(k)
 		if c != 1 && c != -1 {
 			continue
 		}
-		// Solve: k = -(l - c*k)/c
-		solved := l.Clone()
-		delete(solved.Coef, k)
-		solvedL := expr.NewLinear().AddLinear(solved, -c) // divide by -c in {1,-1}
-		s.sub[k] = solvedL
+		// Solve: k = -(l - c*k)/c, dividing by -c in {1,-1}.
+		s.sub[k] = expr.Linear{}.AddLinear(l.Without(k), -c)
 		// Re-canonicalize existing state under the new substitution.
 		s.resubstitute()
 		return true
@@ -166,16 +180,16 @@ func (s *Solver) absorbEquality(l expr.Linear, varsOnly bool) bool {
 	return false
 }
 
-func elimRank(key string) int {
+func elimRank(k expr.TermKey) int {
 	switch {
-	case strings.HasPrefix(key, "v:$"): // parser temps first
-		return 4
-	case strings.HasSuffix(key, "'") && strings.HasPrefix(key, "v:"):
-		return 3
-	case strings.HasPrefix(key, "v:"):
-		return 2
-	default:
+	case k.Kind != expr.KindVar:
 		return 1 // heap terms last
+	case strings.HasPrefix(k.Name, "$"): // parser temps first
+		return 4
+	case strings.HasSuffix(k.Name, "'"):
+		return 3
+	default:
+		return 2
 	}
 }
 
@@ -186,35 +200,45 @@ func (s *Solver) resubstitute() {
 		s.sub[k] = s.applySub(v, k)
 	}
 	for i := range s.ineqs {
-		s.ineqs[i] = s.applySub(s.ineqs[i], "")
+		s.ineqs[i] = s.applySub(s.ineqs[i], expr.TermKey{})
 	}
 	for i := range s.diseqs {
-		s.diseqs[i] = s.applySub(s.diseqs[i], "")
+		s.diseqs[i] = s.applySub(s.diseqs[i], expr.TermKey{})
 	}
 }
 
 // applySub rewrites l replacing every substituted term (except skip, to
-// preserve the solved-for key itself) until fixpoint.
-func (s *Solver) applySub(l expr.Linear, skip string) expr.Linear {
-	for iter := 0; iter < 100; iter++ {
-		changed := false
-		out := expr.NewLinear()
-		out.Const = l.Const
-		for _, k := range l.Terms() {
-			c := l.Coef[k]
-			if rep, ok := s.sub[k]; ok && k != skip {
-				out = out.AddLinear(rep, c)
-				changed = true
+// preserve the solved-for key itself) until fixpoint.  A form with no
+// substituted term is returned as is.
+func (s *Solver) applySub(l expr.Linear, skip expr.TermKey) expr.Linear {
+	for iter := 0; iter < 100 && s.hasSub(l, skip); iter++ {
+		out := expr.Linear{Const: l.Const}
+		for i := 0; i < l.Len(); i++ {
+			t := l.Term(i)
+			if rep, ok := s.sub[t.Key]; ok && t.Key != skip {
+				out.Accumulate(rep, t.Coef)
 			} else {
-				out.AddTerm(k, l.TermExpr(k), c)
+				out.AddTerm(t.Key, t.Expr, t.Coef)
 			}
 		}
 		l = out
-		if !changed {
-			return l
-		}
 	}
 	return l
+}
+
+// hasSub reports whether some term of l other than skip is substituted.
+func (s *Solver) hasSub(l expr.Linear, skip expr.TermKey) bool {
+	if len(s.sub) == 0 {
+		return false
+	}
+	for i := 0; i < l.Len(); i++ {
+		if k := l.Term(i).Key; k != skip {
+			if _, ok := s.sub[k]; ok {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func (s *Solver) addFact(f expr.Expr) {
@@ -222,23 +246,23 @@ func (s *Solver) addFact(f expr.Expr) {
 	case expr.Binary:
 		switch x.Op {
 		case expr.OpLe:
-			s.ineqs = append(s.ineqs, tighten(s.canonLinear(expr.Sub(x.R, x.L))))
+			s.ineqs = append(s.ineqs, tighten(s.canonLinear(x.R, x.L)))
 			return
 		case expr.OpLt:
-			l := s.canonLinear(expr.Sub(x.R, x.L))
+			l := s.canonLinear(x.R, x.L)
 			l.Const--
 			s.ineqs = append(s.ineqs, tighten(l))
 			return
 		case expr.OpGe:
-			s.ineqs = append(s.ineqs, tighten(s.canonLinear(expr.Sub(x.L, x.R))))
+			s.ineqs = append(s.ineqs, tighten(s.canonLinear(x.L, x.R)))
 			return
 		case expr.OpGt:
-			l := s.canonLinear(expr.Sub(x.L, x.R))
+			l := s.canonLinear(x.L, x.R)
 			l.Const--
 			s.ineqs = append(s.ineqs, tighten(l))
 			return
 		case expr.OpNe:
-			s.diseqs = append(s.diseqs, s.canonLinear(expr.Sub(x.L, x.R)))
+			s.diseqs = append(s.diseqs, s.canonLinear(x.L, x.R))
 			return
 		}
 	case expr.BoolLit:
@@ -255,23 +279,48 @@ func (s *Solver) addFact(f expr.Expr) {
 // Canonicalization
 // ---------------------------------------------------------------------------
 
-// canonLinear linearizes e and rewrites every term through the
-// substitution map, canonicalizing heap-select terms congruently.
-func (s *Solver) canonLinear(e expr.Expr) expr.Linear {
-	l := expr.Linearize(e)
-	out := expr.NewLinear()
-	out.Const = l.Const
-	for _, k := range l.Terms() {
-		c := l.Coef[k]
-		out = out.AddLinear(s.canonTerm(k, l.TermExpr(k)), c)
-	}
+// canonLinear linearizes a - b (a alone when b is nil) and rewrites
+// every term through the substitution map, canonicalizing heap-select
+// terms congruently.  The terms are canonicalized in key order, each
+// adding its canonical form times its coefficient.
+func (s *Solver) canonLinear(a, b expr.Expr) expr.Linear {
+	var out expr.Linear
+	s.canonInto(&out, a, b)
 	return out
 }
 
-// canonTerm canonicalizes one atomic term to a linear form.
-func (s *Solver) canonTerm(key string, t expr.Expr) expr.Linear {
+// canonQuery is canonLinear into the solver's query scratch form, for a
+// query that puts it back (s.query = d) once it is done with d.
+func (s *Solver) canonQuery(a, b expr.Expr) expr.Linear {
+	out := s.query
+	s.query = expr.Linear{}
+	s.canonInto(&out, a, b)
+	return out
+}
+
+func (s *Solver) canonInto(out *expr.Linear, a, b expr.Expr) {
+	l := s.lin
+	s.lin = expr.Linear{}
+	l.Reset()
+	l.AddExpr(a, 1)
+	if b != nil {
+		l.AddExpr(b, -1)
+	}
+	out.Reset()
+	out.Const = l.Const
+	for i := 0; i < l.Len(); i++ {
+		t := l.Term(i)
+		s.addCanonTerm(out, t.Key, t.Expr, t.Coef)
+	}
+	s.lin = l
+}
+
+// addCanonTerm adds c times the canonical linear form of one atomic term
+// to out.
+func (s *Solver) addCanonTerm(out *expr.Linear, key expr.TermKey, t expr.Expr, c int64) {
 	if rep, ok := s.sub[key]; ok {
-		return s.applySub(rep, "")
+		out.Accumulate(s.applySub(rep, expr.TermKey{}), c)
+		return
 	}
 	switch x := t.(type) {
 	case expr.Binary:
@@ -282,83 +331,86 @@ func (s *Solver) canonTerm(key string, t expr.Expr) expr.Linear {
 				// multiples of m to e does not change e % m), fold when
 				// constant.  This gives the solver congruence reasoning,
 				// e.g. {i % 2 == 0, j = i + 2} ⊢ j % 2 == 0.
-				inner := s.canonLinear(x.L)
-				reduced := expr.NewLinear()
-				reduced.Const = ((inner.Const % m) + m) % m
-				for _, k := range inner.Terms() {
-					c := ((inner.Coef[k] % m) + m) % m
-					reduced.AddTerm(k, inner.TermExpr(k), c)
+				inner := s.canonLinear(x.L, nil)
+				reduced := expr.Linear{Const: ((inner.Const % m) + m) % m}
+				for i := 0; i < inner.Len(); i++ {
+					it := inner.Term(i)
+					reduced.AddTerm(it.Key, it.Expr, ((it.Coef%m)+m)%m)
 				}
-				if c, ok := reduced.IsConst(); ok {
+				if rc, ok := reduced.IsConst(); ok {
 					// Caveat: this is exact only when the reduced form is
 					// constant; otherwise the residue still depends on the
 					// remaining terms, so keep it opaque-but-canonical.
-					out := expr.NewLinear()
-					out.Const = c % m
-					return out
+					out.Const += c * (rc % m)
+					return
 				}
+				var buf [64]byte
+				name := strconv.AppendInt(append(reduced.AppendKey(buf[:0]), '%'), m, 10)
 				nt := expr.Bin(expr.OpMod, expr.FromLinear(reduced), expr.I(m))
-				nk := "mod:" + reduced.Key() + "%" + fmt.Sprint(m)
-				return s.atomOrSub(nk, nt)
+				s.addAtom(out, expr.TermKey{Kind: expr.KindMod, Name: string(name)}, nt, c)
+				return
 			}
 		}
 	case expr.IndexSel:
 		base := s.canonVar(x.Base)
-		idx := s.canonLinear(x.Index)
+		idx := s.canonLinear(x.Index, nil)
+		var buf [64]byte
+		name := append(idx.AppendKey(append(append(buf[:0], base...), '[')), ']')
 		nt := expr.IndexSel{Base: base, Index: expr.FromLinear(idx)}
-		nk := "h:" + string(base) + "[" + idx.Key() + "]"
-		return s.atomOrSub(nk, nt)
+		s.addAtom(out, expr.TermKey{Kind: expr.KindHeap, Name: string(name)}, nt, c)
+		return
 	case expr.FieldSel:
-		base := s.canonVar(x.Base)
-		nt := expr.FieldSel{Base: base, Field: x.Field}
-		nk := "h:" + nt.String()
-		return s.atomOrSub(nk, nt)
+		nt := expr.FieldSel{Base: s.canonVar(x.Base), Field: x.Field}
+		s.addAtom(out, expr.TermKey{Kind: expr.KindHeap, Name: nt.String()}, nt, c)
+		return
 	case expr.LenOf:
-		base := s.canonVar(x.Base)
-		nt := expr.LenOf{Base: base}
-		nk := "h:" + nt.String()
-		return s.atomOrSub(nk, nt)
+		nt := expr.LenOf{Base: s.canonVar(x.Base)}
+		s.addAtom(out, expr.TermKey{Kind: expr.KindHeap, Name: nt.String()}, nt, c)
+		return
 	}
-	return s.atomOrSub(key, t)
+	out.AddTerm(key, t, c)
 }
 
-func (s *Solver) atomOrSub(key string, t expr.Expr) expr.Linear {
+// addAtom adds c times the atom (key, t), or its substitution, to out.
+func (s *Solver) addAtom(out *expr.Linear, key expr.TermKey, t expr.Expr, c int64) {
 	if rep, ok := s.sub[key]; ok {
-		return s.applySub(rep, "")
+		out.Accumulate(s.applySub(rep, expr.TermKey{}), c)
+		return
 	}
-	l := expr.NewLinear()
-	l.AddTerm(key, t, 1)
-	return l
+	out.AddTerm(key, t, c)
 }
 
 // canonVar returns the representative variable for v: if v was
-// eliminated and its solved form is exactly another variable, use that;
-// otherwise v itself.
+// eliminated and its solved form is exactly another variable, follow
+// that chain, stopping at the first variable seen twice.
 func (s *Solver) canonVar(v expr.Var) expr.Var {
-	seen := map[expr.Var]bool{}
-	for !seen[v] {
-		seen[v] = true
-		rep, ok := s.sub["v:"+string(v)]
+	var seenBuf [8]expr.Var
+	seen := seenBuf[:0]
+	for {
+		for _, w := range seen {
+			if w == v {
+				return v
+			}
+		}
+		seen = append(seen, v)
+		rep, ok := s.sub[expr.VarKey(v)]
 		if !ok {
 			return v
 		}
-		if single, okv := singleVar(rep); okv {
-			v = single
-			continue
+		single, okv := singleVar(rep)
+		if !okv {
+			return v
 		}
-		return v
+		v = single
 	}
-	return v
 }
 
 func singleVar(l expr.Linear) (expr.Var, bool) {
-	if l.Const != 0 || len(l.Coef) != 1 {
+	if l.Const != 0 || l.Len() != 1 {
 		return "", false
 	}
-	for k, c := range l.Coef {
-		if c == 1 && strings.HasPrefix(k, "v:") {
-			return expr.Var(strings.TrimPrefix(k, "v:")), true
-		}
+	if t := l.Term(0); t.Coef == 1 && t.Key.Kind == expr.KindVar {
+		return expr.Var(t.Key.Name), true
 	}
 	return "", false
 }
@@ -366,15 +418,22 @@ func singleVar(l expr.Linear) (expr.Var, bool) {
 // canonBoolKey renders an opaque boolean fact canonically: variables are
 // replaced by representatives.
 func (s *Solver) canonBoolKey(f expr.Expr) string {
+	var buf [64]byte
+	return string(s.appendBoolKey(buf[:0], f))
+}
+
+func (s *Solver) appendBoolKey(b []byte, f expr.Expr) []byte {
 	switch x := f.(type) {
 	case expr.VarRef:
-		return string(s.canonVar(x.Name))
+		return append(b, s.canonVar(x.Name)...)
 	case expr.Unary:
-		return x.Op.String() + s.canonBoolKey(x.X)
+		return s.appendBoolKey(append(b, x.Op.String()...), x.X)
 	case expr.Binary:
-		return "(" + s.canonBoolKey(x.L) + x.Op.String() + s.canonBoolKey(x.R) + ")"
+		b = s.appendBoolKey(append(b, '('), x.L)
+		b = s.appendBoolKey(append(b, x.Op.String()...), x.R)
+		return append(b, ')')
 	default:
-		return f.String()
+		return expr.Append(b, f)
 	}
 }
 
@@ -384,12 +443,13 @@ func (s *Solver) canonBoolKey(f expr.Expr) string {
 
 // Entails reports whether the hypotheses entail the boolean expression q.
 func (s *Solver) Entails(q expr.Expr) bool {
-	key := "E:" + q.String()
-	if v, ok := s.cache[key]; ok {
+	var buf [64]byte
+	key := expr.Append(buf[:0], q)
+	if v, ok := s.entailed[string(key)]; ok {
 		return v
 	}
 	v := s.entails(q)
-	s.cache[key] = v
+	s.entailed[string(key)] = v
 	return v
 }
 
@@ -425,7 +485,8 @@ func (s *Solver) entails(q expr.Expr) bool {
 
 // ProveEq reports whether the hypotheses entail a == b.
 func (s *Solver) ProveEq(a, b expr.Expr) bool {
-	d := s.canonLinear(expr.Sub(a, b))
+	d := s.canonQuery(a, b)
+	defer func() { s.query = d }()
 	if c, ok := d.IsConst(); ok {
 		return c == 0 || s.inconsistent()
 	}
@@ -434,46 +495,51 @@ func (s *Solver) ProveEq(a, b expr.Expr) bool {
 
 // ProveNe reports whether the hypotheses entail a != b.
 func (s *Solver) ProveNe(a, b expr.Expr) bool {
-	d := s.canonLinear(expr.Sub(a, b))
+	d := s.canonQuery(a, b)
+	defer func() { s.query = d }()
 	if c, ok := d.IsConst(); ok {
 		return c != 0 || s.inconsistent()
 	}
-	dm := d.Key()
-	dn := negate(d).Key()
+	nd := negate(d)
 	for _, dq := range s.diseqs {
-		k := dq.Key()
-		if k == dm || k == dn {
+		if dq.Equal(d) || dq.Equal(nd) {
 			return true
 		}
 	}
 	lo := d
 	lo.Const--
-	hi := negate(d)
+	hi := nd
 	hi.Const--
 	return s.proveNonNeg(lo) || s.proveNonNeg(hi)
 }
 
 // ProveLe reports whether the hypotheses entail a <= b.
 func (s *Solver) ProveLe(a, b expr.Expr) bool {
-	return s.proveNonNeg(s.canonLinear(expr.Sub(b, a)))
+	d := s.canonQuery(b, a)
+	v := s.proveNonNeg(d)
+	s.query = d
+	return v
 }
 
 // ProveLt reports whether the hypotheses entail a < b.
 func (s *Solver) ProveLt(a, b expr.Expr) bool {
-	d := s.canonLinear(expr.Sub(b, a))
+	d := s.canonQuery(b, a)
 	d.Const--
-	return s.proveNonNeg(d)
+	v := s.proveNonNeg(d)
+	s.query = d
+	return v
 }
 
 // ConstDiff returns the constant value of a-b if the hypotheses
 // determine it exactly.
 func (s *Solver) ConstDiff(a, b expr.Expr) (int64, bool) {
-	d := s.canonLinear(expr.Sub(a, b))
+	d := s.canonQuery(a, b)
+	defer func() { s.query = d }()
 	if c, ok := d.IsConst(); ok {
 		return c, true
 	}
 	// Try to pin the residual with bounds: d <= c and d >= c.
-	for _, guess := range s.boundGuesses(d) {
+	for _, guess := range s.boundGuesses() {
 		shifted := d
 		shifted.Const -= guess
 		if s.proveNonNeg(shifted) && s.proveNonNeg(negate(shifted)) {
@@ -484,21 +550,28 @@ func (s *Solver) ConstDiff(a, b expr.Expr) (int64, bool) {
 }
 
 // boundGuesses proposes candidate constants for pinning a linear form,
-// derived from the constraint constants (small search, exact check).
-func (s *Solver) boundGuesses(d expr.Linear) []int64 {
-	guesses := map[int64]bool{0: true, 1: true, -1: true}
+// derived from the constraint constants (small search, exact check),
+// smallest magnitude first.  Consistent hypotheses pin a form to at most
+// one constant; inconsistent ones prove every guess, and 0 comes first.
+func (s *Solver) boundGuesses() []int64 {
+	out := make([]int64, 0, 3+2*len(s.ineqs))
+	out = append(out, 0, 1, -1)
 	for _, iq := range s.ineqs {
-		guesses[iq.Const] = true
-		guesses[-iq.Const] = true
+		out = append(out, iq.Const, -iq.Const)
 	}
-	out := make([]int64, 0, len(guesses))
-	for g := range guesses {
-		if g > -1000 && g < 1000 {
-			out = append(out, g)
+	slices.SortFunc(out, func(a, b int64) int {
+		if c := cmp.Compare(abs64(a), abs64(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	kept := out[:0]
+	for i, g := range out {
+		if g > -1000 && g < 1000 && (i == 0 || g != out[i-1]) {
+			kept = append(kept, g)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return abs64(out[i]) < abs64(out[j]) })
-	return out
+	return kept
 }
 
 func abs64(x int64) int64 {
@@ -517,17 +590,20 @@ func (s *Solver) inconsistent() bool {
 // proveNonNeg decides hypotheses ⊨ (l >= 0) by refuting the negation
 // l <= -1 with Fourier–Motzkin.
 func (s *Solver) proveNonNeg(l expr.Linear) bool {
-	key := "N:" + l.Key()
-	if v, ok := s.cache[key]; ok {
+	var buf [64]byte
+	key := l.AppendKey(buf[:0])
+	if v, ok := s.nonNeg[string(key)]; ok {
 		return v
 	}
 	neg := negate(l)
 	neg.Const-- // -l - 1 >= 0  <=>  l <= -1
-	system := make([]expr.Linear, 0, len(s.ineqs)+1)
-	system = append(system, s.ineqs...)
-	system = append(system, tighten(neg))
-	v := fmUnsat(system)
-	s.cache[key] = v
+	neg = tighten(neg)
+	if s.ineqKeys == nil {
+		s.ineqKeys = sortedKeys(s.ineqs)
+	}
+	s.system = append(append(s.system[:0], s.ineqs...), neg)
+	v := s.fm.unsat(s.system, s.fm.mergeKeys(s.ineqKeys, neg))
+	s.nonNeg[string(key)] = v
 	return v
 }
 
@@ -535,31 +611,25 @@ func (s *Solver) proveNonNeg(l expr.Linear) bool {
 // Fourier–Motzkin core
 // ---------------------------------------------------------------------------
 
-func constLinear(c int64) expr.Linear {
-	l := expr.NewLinear()
-	l.Const = c
-	return l
-}
+func constLinear(c int64) expr.Linear { return expr.Linear{Const: c} }
 
-func negate(l expr.Linear) expr.Linear {
-	return expr.NewLinear().AddLinear(l, -1)
-}
+func negate(l expr.Linear) expr.Linear { return expr.Linear{}.AddLinear(l, -1) }
 
 // tighten divides the constraint l >= 0 by the gcd of its term
 // coefficients, flooring the constant — valid over the integers and
 // strictly stronger than the rational constraint.
 func tighten(l expr.Linear) expr.Linear {
 	var g int64
-	for _, c := range l.Coef {
-		g = gcd(g, abs64(c))
+	for i := 0; i < l.Len(); i++ {
+		g = gcd(g, abs64(l.Term(i).Coef))
 	}
 	if g <= 1 {
 		return l
 	}
-	out := expr.NewLinear()
-	out.Const = floorDiv(l.Const, g)
-	for _, k := range l.Terms() {
-		out.AddTerm(k, l.TermExpr(k), l.Coef[k]/g)
+	out := expr.Linear{Const: floorDiv(l.Const, g)}
+	for i := 0; i < l.Len(); i++ {
+		t := l.Term(i)
+		out.AddTerm(t.Key, t.Expr, t.Coef/g)
 	}
 	return out
 }
@@ -577,119 +647,4 @@ func floorDiv(a, b int64) int64 {
 		q--
 	}
 	return q
-}
-
-// fmUnsat reports whether the system {l >= 0 : l in system} is
-// unsatisfiable over the rationals (hence over the integers).
-func fmUnsat(system []expr.Linear) bool {
-	// Gather variables.
-	varSet := map[string]bool{}
-	for _, l := range system {
-		for _, k := range l.Terms() {
-			varSet[k] = true
-		}
-	}
-	if len(varSet) > maxFMVars {
-		return false
-	}
-	vars := make([]string, 0, len(varSet))
-	for k := range varSet {
-		vars = append(vars, k)
-	}
-	sort.Strings(vars)
-
-	cur := append([]expr.Linear(nil), system...)
-	for len(vars) > 0 {
-		// Choose the variable minimizing pos*neg product.
-		bestIdx, bestCost := -1, 1<<62
-		for i, v := range vars {
-			pos, neg := 0, 0
-			for _, l := range cur {
-				c := l.Coef[v]
-				if c > 0 {
-					pos++
-				} else if c < 0 {
-					neg++
-				}
-			}
-			cost := pos*neg - (pos + neg)
-			if cost < bestCost {
-				bestCost, bestIdx = cost, i
-			}
-		}
-		v := vars[bestIdx]
-		vars = append(vars[:bestIdx], vars[bestIdx+1:]...)
-
-		var pos, neg, rest []expr.Linear
-		for _, l := range cur {
-			c := l.Coef[v]
-			switch {
-			case c > 0:
-				pos = append(pos, l)
-			case c < 0:
-				neg = append(neg, l)
-			default:
-				rest = append(rest, l)
-			}
-		}
-		if len(pos)*len(neg)+len(rest) > maxFMConstraints {
-			return false // give up: cannot conclude unsat
-		}
-		next := rest
-		for _, p := range pos {
-			for _, n := range neg {
-				a := p.Coef[v]
-				b := -n.Coef[v]
-				// b*p + a*n eliminates v.
-				comb := expr.NewLinear().AddLinear(p, b).AddLinear(n, a)
-				delete(comb.Coef, v)
-				comb = tighten(comb)
-				if c, ok := comb.IsConst(); ok {
-					if c < 0 {
-						return true
-					}
-					continue
-				}
-				next = append(next, comb)
-			}
-		}
-		cur = dedup(next)
-	}
-	for _, l := range cur {
-		if c, ok := l.IsConst(); ok && c < 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func dedup(ls []expr.Linear) []expr.Linear {
-	seen := map[string]bool{}
-	out := ls[:0]
-	for _, l := range ls {
-		k := l.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-// DebugString renders the solver state for diagnostics.
-func (s *Solver) DebugString() string {
-	var b strings.Builder
-	for k, v := range s.sub {
-		fmt.Fprintf(&b, "sub %s := %s\n", k, v.Key())
-	}
-	for _, l := range s.ineqs {
-		fmt.Fprintf(&b, "ineq %s >= 0\n", l.Key())
-	}
-	for _, l := range s.diseqs {
-		fmt.Fprintf(&b, "diseq %s != 0\n", l.Key())
-	}
-	for k := range s.lits {
-		fmt.Fprintf(&b, "lit %s\n", k)
-	}
-	return b.String()
 }

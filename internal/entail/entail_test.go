@@ -3,6 +3,7 @@ package entail
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -411,5 +412,203 @@ func TestEntailmentMonotoneUnderExtraFacts(t *testing.T) {
 	)
 	if !New(extended).Entails(q) {
 		t.Error("entailment lost after adding facts")
+	}
+}
+
+// refFMUnsat is a reference Fourier–Motzkin over string-keyed
+// coefficient maps, with the rules fm.unsat must keep: variables in
+// sorted-key order chosen by minimum pos*neg-(pos+neg) with first-wins
+// ties, first-occurrence dedup by rendered key, and the same give-ups.
+func refFMUnsat(system []expr.Linear) bool {
+	type form struct {
+		c     int64
+		coefs map[string]int64
+	}
+	key := func(f form) string {
+		ks := make([]string, 0, len(f.coefs))
+		for k := range f.coefs {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		s := fmt.Sprint(f.c)
+		for _, k := range ks {
+			s += fmt.Sprintf("+%d*%s", f.coefs[k], k)
+		}
+		return s
+	}
+	tight := func(f form) form {
+		var g int64
+		for _, c := range f.coefs {
+			g = gcd(g, abs64(c))
+		}
+		if g <= 1 {
+			return f
+		}
+		out := form{floorDiv(f.c, g), map[string]int64{}}
+		for k, c := range f.coefs {
+			out.coefs[k] = c / g
+		}
+		return out
+	}
+	var cur []form
+	varSet := map[string]bool{}
+	for _, l := range system {
+		f := form{l.Const, map[string]int64{}}
+		for i := 0; i < l.Len(); i++ {
+			t := l.Term(i)
+			f.coefs[t.Key.String()] = t.Coef
+			varSet[t.Key.String()] = true
+		}
+		cur = append(cur, f)
+	}
+	if len(varSet) > maxFMVars {
+		return false
+	}
+	var vars []string
+	for k := range varSet {
+		vars = append(vars, k)
+	}
+	sort.Strings(vars)
+	for len(vars) > 0 {
+		bestIdx, bestCost := -1, 1<<62
+		for i, v := range vars {
+			pos, neg := 0, 0
+			for _, f := range cur {
+				if c := f.coefs[v]; c > 0 {
+					pos++
+				} else if c < 0 {
+					neg++
+				}
+			}
+			if cost := pos*neg - (pos + neg); cost < bestCost {
+				bestCost, bestIdx = cost, i
+			}
+		}
+		v := vars[bestIdx]
+		vars = append(vars[:bestIdx], vars[bestIdx+1:]...)
+		var pos, neg, next []form
+		for _, f := range cur {
+			switch c := f.coefs[v]; {
+			case c > 0:
+				pos = append(pos, f)
+			case c < 0:
+				neg = append(neg, f)
+			default:
+				next = append(next, f)
+			}
+		}
+		if len(pos)*len(neg)+len(next) > maxFMConstraints {
+			return false
+		}
+		for _, p := range pos {
+			for _, n := range neg {
+				a, b := p.coefs[v], -n.coefs[v]
+				comb := form{b*p.c + a*n.c, map[string]int64{}}
+				for k, c := range p.coefs {
+					comb.coefs[k] += b * c
+				}
+				for k, c := range n.coefs {
+					comb.coefs[k] += a * c
+				}
+				for k, c := range comb.coefs {
+					if c == 0 {
+						delete(comb.coefs, k)
+					}
+				}
+				comb = tight(comb)
+				if len(comb.coefs) == 0 {
+					if comb.c < 0 {
+						return true
+					}
+					continue
+				}
+				next = append(next, comb)
+			}
+		}
+		seen := map[string]bool{}
+		cur = cur[:0]
+		for _, f := range next {
+			if k := key(f); !seen[k] {
+				seen[k] = true
+				cur = append(cur, f)
+			}
+		}
+	}
+	for _, f := range cur {
+		if len(f.coefs) == 0 && f.c < 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// TestDenseFMMatchesReference: the dense-row elimination decides every
+// random system as the map-based reference does.  One fm runs them all,
+// its keys merged as proveNonNeg merges them, so every run reuses storage
+// left by the one before, whichever way that one returned: unsat, sat,
+// past the variable give-up or past the row give-up.
+func TestDenseFMMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	names := []string{"i", "j", "k", "n", "$t1", "i'"}
+	varName := func(v int) expr.Var { return expr.Var(names[v%len(names)] + fmt.Sprint(v/len(names))) }
+	randForm := func(nvars int) expr.Linear {
+		l := expr.Linear{Const: int64(r.Intn(13) - 6)}
+		for v := 0; v < nvars; v++ {
+			if r.Intn(2) == 0 {
+				l.AddTerm(expr.VarKey(varName(v)), expr.V(varName(v)), int64(r.Intn(9)-4))
+			}
+		}
+		return l
+	}
+	// tooManyRows has 73 rows positive and 73 negative in each of its two
+	// columns, so eliminating either would combine 5329 > maxFMConstraints
+	// rows; without the give-up its last two rows would prove it unsat.
+	tooManyRows := func() []expr.Linear {
+		var system []expr.Linear
+		for i := 0; i < 144; i++ {
+			l := expr.Linear{Const: int64(r.Intn(50))}
+			for v, sign := range []int64{1 - 2*int64(i%2), 1 - 2*int64(i/2%2)} {
+				l.AddTerm(expr.VarKey(varName(v)), expr.V(varName(v)), sign)
+			}
+			system = append(system, l)
+		}
+		return append(system, expr.Linear{Const: -1}.AddLinear(system[0], 1), expr.Linear{Const: -1}.AddLinear(system[0], -1))
+	}
+	f := new(fm)
+	var unsat, rowGiveUps int
+	for n := 0; n < 3000; n++ {
+		var system []expr.Linear
+		switch n % 100 {
+		case 0:
+			system = make([]expr.Linear, 1+r.Intn(16))
+			for i := range system {
+				system[i] = randForm(maxFMVars + 1)
+			}
+		case 50:
+			system = tooManyRows()
+		default:
+			system = make([]expr.Linear, 1+r.Intn(16))
+			nvars := 1 + r.Intn(8)
+			for i := range system {
+				system[i] = randForm(nvars)
+			}
+		}
+		last := len(system) - 1
+		vars := f.mergeKeys(sortedKeys(system[:last]), system[last])
+		got, want := f.unsat(system, vars), refFMUnsat(system)
+		if got != want {
+			t.Fatalf("system %d: unsat = %v, reference %v: %v", n, got, want, system)
+		}
+		switch {
+		case n%100 == 50 && got:
+			t.Fatalf("system %d: unsat past the row give-up", n)
+		case n%100 == 50:
+			rowGiveUps++
+		case got:
+			unsat++
+		}
+	}
+	if unsat == 0 || rowGiveUps == 0 {
+		t.Fatalf("%d unsatisfiable systems and %d row give-ups drawn; the comparison proves little", unsat, rowGiveUps)
 	}
 }

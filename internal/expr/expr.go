@@ -12,7 +12,7 @@ package expr
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Var is a method-local variable name.
@@ -106,25 +106,59 @@ func (FieldSel) isExpr() {}
 func (IndexSel) isExpr() {}
 func (LenOf) isExpr()    {}
 
-func (e IntLit) String() string  { return fmt.Sprintf("%d", e.Val) }
-func (e BoolLit) String() string { return fmt.Sprintf("%t", e.Val) }
-func (e VarRef) String() string  { return string(e.Name) }
+func (e IntLit) String() string   { return render(e) }
+func (e BoolLit) String() string  { return render(e) }
+func (e VarRef) String() string   { return string(e.Name) }
+func (e Binary) String() string   { return render(e) }
+func (e Unary) String() string    { return render(e) }
+func (e FieldSel) String() string { return render(e) }
+func (e IndexSel) String() string { return render(e) }
+func (e LenOf) String() string    { return render(e) }
 
-func (e Binary) String() string {
-	return fmt.Sprintf("(%s %s %s)", e.L, e.Op, e.R)
+// render is String through Append, into a stack buffer for the common
+// short expression.
+func render(e Expr) string {
+	var buf [64]byte
+	return string(Append(buf[:0], e))
 }
 
-func (e Unary) String() string    { return fmt.Sprintf("%s%s", e.Op, paren(e.X)) }
-func (e FieldSel) String() string { return fmt.Sprintf("%s.%s", e.Base, e.Field) }
-func (e IndexSel) String() string { return fmt.Sprintf("%s[%s]", e.Base, e.Index) }
-func (e LenOf) String() string    { return fmt.Sprintf("alen(%s)", e.Base) }
+// Append appends e.String() to b.  Every rendering in this package (and
+// the analysis's fact and cache keys built on it) writes through here.
+func Append(b []byte, e Expr) []byte {
+	switch x := e.(type) {
+	case IntLit:
+		return strconv.AppendInt(b, x.Val, 10)
+	case BoolLit:
+		return strconv.AppendBool(b, x.Val)
+	case VarRef:
+		return append(b, x.Name...)
+	case Binary:
+		b = append(b, '(')
+		b = Append(b, x.L)
+		b = append(b, ' ')
+		b = append(b, x.Op.String()...)
+		b = append(b, ' ')
+		b = Append(b, x.R)
+		return append(b, ')')
+	case Unary:
+		return appendParen(append(b, x.Op.String()...), x.X)
+	case FieldSel:
+		return append(append(append(b, x.Base...), '.'), x.Field...)
+	case IndexSel:
+		return append(Append(append(append(b, x.Base...), '['), x.Index), ']')
+	case LenOf:
+		return append(append(append(b, "alen("...), x.Base...), ')')
+	}
+	return fmt.Appendf(b, "%s", e)
+}
 
-func paren(e Expr) string {
+// appendParen appends e, parenthesized unless it is atomic.
+func appendParen(b []byte, e Expr) []byte {
 	switch e.(type) {
 	case IntLit, BoolLit, VarRef, FieldSel, IndexSel, LenOf:
-		return e.String()
+		return Append(b, e)
 	}
-	return "(" + e.String() + ")"
+	return append(Append(append(b, '('), e), ')')
 }
 
 // Convenience constructors.
@@ -217,60 +251,84 @@ func FreeVars(e Expr, vs map[Var]bool) {
 
 // Mentions reports whether e mentions the variable v.
 func Mentions(e Expr, v Var) bool {
-	vs := map[Var]bool{}
-	FreeVars(e, vs)
-	return vs[v]
+	switch x := e.(type) {
+	case VarRef:
+		return x.Name == v
+	case Binary:
+		return Mentions(x.L, v) || Mentions(x.R, v)
+	case Unary:
+		return Mentions(x.X, v)
+	case FieldSel:
+		return x.Base == v
+	case IndexSel:
+		return x.Base == v || Mentions(x.Index, v)
+	case LenOf:
+		return x.Base == v
+	}
+	return false
 }
 
 // Subst returns e with every occurrence of variable v replaced by r.
 // Substituting into the base of a heap selection or alen requires r to be
 // a variable; otherwise the result is marked ill-formed via ok=false and
 // callers must drop the containing fact (as the paper's [Assign] rule
-// drops syntactically ill-formed anticipated paths).
+// drops syntactically ill-formed anticipated paths).  An e that does not
+// mention v comes back as is.
 func Subst(e Expr, v Var, r Expr) (Expr, bool) {
+	s, _, ok := subst(e, v, r)
+	return s, ok
+}
+
+// subst is Subst that also reports whether e mentions v; it returns an
+// e that does not as is.
+func subst(e Expr, v Var, r Expr) (s Expr, mentions, ok bool) {
 	switch x := e.(type) {
 	case IntLit, BoolLit:
-		return e, true
 	case VarRef:
 		if x.Name == v {
-			return r, true
+			return r, true, true
 		}
-		return e, true
 	case Binary:
-		l, ok1 := Subst(x.L, v, r)
-		rr, ok2 := Subst(x.R, v, r)
-		return Binary{x.Op, l, rr}, ok1 && ok2
+		l, lm, lok := subst(x.L, v, r)
+		rr, rm, rok := subst(x.R, v, r)
+		if lm || rm {
+			return Binary{x.Op, l, rr}, true, lok && rok
+		}
 	case Unary:
-		xx, ok := Subst(x.X, v, r)
-		return Unary{x.Op, xx}, ok
+		xx, m, ok := subst(x.X, v, r)
+		if m {
+			return Unary{x.Op, xx}, true, ok
+		}
 	case FieldSel:
 		if x.Base == v {
 			if vr, isVar := r.(VarRef); isVar {
-				return FieldSel{vr.Name, x.Field}, true
+				return FieldSel{vr.Name, x.Field}, true, true
 			}
-			return e, false
+			return e, true, false
 		}
-		return e, true
 	case IndexSel:
-		idx, ok := Subst(x.Index, v, r)
+		idx, m, ok := subst(x.Index, v, r)
 		if x.Base == v {
 			vr, isVar := r.(VarRef)
 			if !isVar {
-				return e, false
+				return e, true, false
 			}
-			return IndexSel{vr.Name, idx}, ok
+			return IndexSel{vr.Name, idx}, true, ok
 		}
-		return IndexSel{x.Base, idx}, ok
+		if m {
+			return IndexSel{x.Base, idx}, true, ok
+		}
 	case LenOf:
 		if x.Base == v {
 			if vr, isVar := r.(VarRef); isVar {
-				return LenOf{vr.Name}, true
+				return LenOf{vr.Name}, true, true
 			}
-			return e, false
+			return e, true, false
 		}
-		return e, true
+	default:
+		panic(fmt.Sprintf("expr.Subst: unknown expression %T", e))
 	}
-	panic(fmt.Sprintf("expr.Subst: unknown expression %T", e))
+	return e, false, true
 }
 
 // EqualSyntax reports structural equality of two expressions.
@@ -348,13 +406,20 @@ func isOne(e Expr) bool {
 // String renders the range in BFJ syntax: "lo..hi" for stride 1,
 // "lo..hi:k" otherwise, or the bare index for singletons.
 func (r StridedRange) String() string {
+	var buf [64]byte
+	return string(r.Append(buf[:0]))
+}
+
+// Append appends r.String() to b.
+func (r StridedRange) Append(b []byte) []byte {
 	if e, ok := r.IsSingleton(); ok {
-		return e.String()
+		return Append(b, e)
 	}
+	b = Append(append(Append(b, r.Lo), ".."...), r.Hi)
 	if isOne(r.Step) {
-		return fmt.Sprintf("%s..%s", r.Lo, r.Hi)
+		return b
 	}
-	return fmt.Sprintf("%s..%s:%s", r.Lo, r.Hi, r.Step)
+	return Append(append(b, ':'), r.Step)
 }
 
 // Equal reports syntactic equality of ranges.
@@ -384,6 +449,8 @@ type Path interface {
 	Designator() Var
 	// String renders the path in BFJ syntax.
 	String() string
+	// Append appends String() to b.
+	Append(b []byte) []byte
 	isPath()
 }
 
@@ -410,11 +477,30 @@ func (p FieldPath) Designator() Var { return p.Base }
 func (p ArrayPath) Designator() Var { return p.Base }
 
 func (p FieldPath) String() string {
-	return fmt.Sprintf("%s.%s", p.Base, strings.Join(p.Fields, "/"))
+	var buf [64]byte
+	return string(p.Append(buf[:0]))
 }
 
 func (p ArrayPath) String() string {
-	return fmt.Sprintf("%s[%s]", p.Base, p.Range)
+	var buf [64]byte
+	return string(p.Append(buf[:0]))
+}
+
+// Append appends p.String() to b.
+func (p FieldPath) Append(b []byte) []byte {
+	b = append(append(b, p.Base...), '.')
+	for i, f := range p.Fields {
+		if i > 0 {
+			b = append(b, '/')
+		}
+		b = append(b, f...)
+	}
+	return b
+}
+
+// Append appends p.String() to b.
+func (p ArrayPath) Append(b []byte) []byte {
+	return append(p.Range.Append(append(append(b, p.Base...), '[')), ']')
 }
 
 // NewFieldPath builds a normalized field path over the given fields.
@@ -491,7 +577,11 @@ func PathFreeVars(p Path, vs map[Var]bool) {
 
 // PathMentions reports whether p mentions variable v.
 func PathMentions(p Path, v Var) bool {
-	vs := map[Var]bool{}
-	PathFreeVars(p, vs)
-	return vs[v]
+	switch x := p.(type) {
+	case FieldPath:
+		return x.Base == v
+	case ArrayPath:
+		return x.Base == v || Mentions(x.Range.Lo, v) || Mentions(x.Range.Hi, v) || Mentions(x.Range.Step, v)
+	}
+	return false
 }

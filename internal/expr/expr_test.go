@@ -55,7 +55,7 @@ func TestLinearizeFoldsArithmetic(t *testing.T) {
 	}
 	// 2*i + 3 - i == i + 3
 	l := Diff(Add(Mul(I(2), V("i")), I(3)), V("i"))
-	if l.Const != 3 || l.Coef["v:i"] != 1 {
+	if l.Const != 3 || l.Coef(VarKey("i")) != 1 {
 		t.Errorf("unexpected linear form %v", l)
 	}
 }

@@ -222,6 +222,38 @@ setup { a = new A; h = fork a.m(1, 2, 3); join h; }
 	}
 }
 
+// TestDeepNestingKeepsServing: a source of 450k nested parentheses, under
+// the request size limit, once overflowed the parser's stack and killed
+// the daemon.  It fails as a program error, and the daemon goes on
+// serving.
+func TestDeepNestingKeepsServing(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const d = 450000
+	deep := "setup { x = " + strings.Repeat("(", d) + "1" + strings.Repeat(")", d) + "; }"
+	resp, data := postRun(t, ts.URL, RunRequest{Program: deep})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422 (%.200s)", resp.StatusCode, data)
+	}
+	if code := errorCode(t, data); code != "program" {
+		t.Errorf("code %q, want %q", code, "program")
+	}
+	if !bytes.Contains(data, []byte("nested deeper than")) {
+		t.Errorf("error does not name the nesting limit: %.200s", data)
+	}
+
+	vresp, err := http.Get(ts.URL + "/v1/version")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vresp.Body.Close()
+	if vresp.StatusCode != http.StatusOK {
+		t.Errorf("/v1/version after the failed request: status %d", vresp.StatusCode)
+	}
+	if resp, data := postRun(t, ts.URL, RunRequest{Program: clean}); resp.StatusCode != http.StatusOK {
+		t.Errorf("run after the failed request: status %d (%s)", resp.StatusCode, data)
+	}
+}
+
 // TestStatsEndpoint: cache counters are surfaced and move with traffic.
 func TestStatsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
