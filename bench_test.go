@@ -232,12 +232,27 @@ func BenchmarkStaticAnalysis(b *testing.B) {
 
 // BenchmarkInterpreter measures base (uninstrumented) execution speed
 // on an array kernel (crypt) and an object- and call-heavy program
-// (pmd), at test scale.
+// (pmd), at test scale, and on four threads of tight loops with no heap
+// traffic, where the scheduler's hand-off between slices is the cost
+// beside dispatch.  Those threads never block, so every slice but each
+// thread's last runs its full budget, drawn uniformly from the default
+// 20..120 steps: the run takes steps/70 slices.
 func BenchmarkInterpreter(b *testing.B) {
-	for _, name := range []string{"crypt", "pmd"} {
-		b.Run(name, func(b *testing.B) {
-			w, _ := workloads.ByName(name, workloads.TestScale())
-			compiled := interp.MustCompile(bfj.MustParse(w.Source))
+	progs := []struct{ name, src string }{{name: "crypt"}, {name: "pmd"}, {name: "threads4", src: `
+setup { n = 100000; }
+thread { for (i = 0; i < n; i = i + 1) { x = i + 1; } }
+thread { for (i = 0; i < n; i = i + 1) { x = i + 2; } }
+thread { for (i = 0; i < n; i = i + 1) { x = i + 3; } }
+thread { for (i = 0; i < n; i = i + 1) { x = i + 4; } }
+`}}
+	for _, p := range progs {
+		b.Run(p.name, func(b *testing.B) {
+			src := p.src
+			if src == "" {
+				w, _ := workloads.ByName(p.name, workloads.TestScale())
+				src = w.Source
+			}
+			compiled := interp.MustCompile(bfj.MustParse(src))
 			var steps uint64
 			for i := 0; i < b.N; i++ {
 				c, err := compiled.Run(interp.NopHook{}, interp.Options{Seed: 1})
@@ -246,8 +261,12 @@ func BenchmarkInterpreter(b *testing.B) {
 				}
 				steps = c.Steps
 			}
+			nsPerStep := float64(b.Elapsed().Nanoseconds()) / float64(steps) / float64(b.N)
 			b.ReportMetric(float64(steps)/1e6, "Msteps")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps)/float64(b.N), "ns/step")
+			b.ReportMetric(nsPerStep, "ns/step")
+			if p.src != "" { // threads4: steps/70 slices
+				b.ReportMetric(70*nsPerStep, "ns/slice")
+			}
 		})
 	}
 }

@@ -106,7 +106,7 @@ type Race struct {
 // Observer receives detector-side dynamics that the interp.Hook stream
 // cannot see: footprint commits, array-mode refinements, and
 // shadow-state transitions.  Like Hook callbacks, Observer callbacks run
-// on the scheduler token (globally serialized, no locking needed).  A
+// one at a time (globally serialized, no locking needed).  A
 // nil observer costs a single pointer test per event site.
 type Observer interface {
 	// FootprintCommit reports that thread t committed pending footprint

@@ -496,7 +496,7 @@ type Outcome struct {
 
 // countingHook forwards every event to the wrapped detector hook while
 // tallying executed field vs. array check items (Figure 8's split).
-// Hook callbacks run on the scheduler token, so the counts need no
+// Hook callbacks run one at a time, so the counts need no
 // synchronization.  Thread 0 is excluded to match the interpreter's
 // check counters.
 type countingHook struct {

@@ -25,6 +25,10 @@ type Entry struct {
 type Footprint struct {
 	pending map[int][]Entry // array id -> entries
 	order   []int           // array ids in first-touch order (deterministic drain)
+	// free holds the emptied entry slices of drained arrays, so a new
+	// epoch's first touch of an array reuses one instead of growing a
+	// slice from nil.
+	free [][]Entry
 	// lastID caches the most recently touched array (sequential access
 	// runs hit the same array repeatedly).
 	lastID int
@@ -83,6 +87,10 @@ func (f *Footprint) Add(arrayID int, lo, hi, step int, write bool, pos bfj.Pos) 
 	}
 	if len(es) == 0 {
 		f.order = append(f.order, arrayID)
+		if n := len(f.free); n > 0 {
+			es = f.free[n-1]
+			f.free = f.free[:n-1]
+		}
 	}
 	es = append(es, Entry{Lo: lo, Hi: hi, Step: step, Write: write, Pos: pos})
 	f.pending[arrayID] = es
@@ -90,13 +98,16 @@ func (f *Footprint) Add(arrayID int, lo, hi, step int, write bool, pos bfj.Pos) 
 }
 
 // Drain removes and returns all pending entries, invoking visit for
-// each (arrayID, entry) pair in first-touch order (deterministic).
+// each (arrayID, entry) pair in first-touch order (deterministic).  The
+// drained arrays leave the map; their entry slices go to the free list.
 func (f *Footprint) Drain(visit func(arrayID int, e Entry)) {
 	for _, id := range f.order {
-		for _, e := range f.pending[id] {
+		es := f.pending[id]
+		for _, e := range es {
 			visit(id, e)
 		}
 		delete(f.pending, id)
+		f.free = append(f.free, es[:0])
 	}
 	f.order = f.order[:0]
 	f.lastEs = nil
@@ -111,5 +122,6 @@ func (f *Footprint) Arrays() []int {
 	return append([]int(nil), f.order...)
 }
 
-// Entries returns the pending entries for one array.
+// Entries returns the pending entries for one array, valid until the
+// next Drain.
 func (f *Footprint) Entries(arrayID int) []Entry { return f.pending[arrayID] }

@@ -86,6 +86,44 @@ func TestDrainClearsAndPreservesOrder(t *testing.T) {
 	}
 }
 
+// TestSteadyStateEpochsDoNotAllocate: once a thread's epochs have sized
+// the entry slices, Add/Drain cycles over the same arrays allocate
+// nothing — drained slices are reused, not regrown from nil.
+func TestSteadyStateEpochsDoNotAllocate(t *testing.T) {
+	f := New()
+	epoch := 0
+	cycle := func() {
+		epoch++
+		for k := 0; k < 8; k++ {
+			id := (k*3 + epoch) % 8 // first-touch order moves every epoch
+			switch k % 3 {
+			case 0: // sequential run: merges into one entry
+				for i := 0; i < 50; i++ {
+					f.Add(id, i, i+1, 1, true, bfj.Pos{})
+				}
+			case 1: // scattered reads: one entry each
+				for i := 0; i < 20; i++ {
+					f.Add(id, 7*i, 7*i+3, 1, false, bfj.Pos{})
+				}
+			default: // strided singletons: merge into one stride
+				for i := 0; i < 30; i += 2 {
+					f.Add(id, i, i+1, 1, false, bfj.Pos{})
+				}
+			}
+		}
+		f.Drain(func(int, Entry) {})
+	}
+	for i := 0; i < 20; i++ {
+		cycle()
+	}
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		t.Errorf("steady-state Add/Drain cycle allocates %v times, want 0", a)
+	}
+	if f.Pending() || len(f.pending) != 0 {
+		t.Errorf("drained footprint keeps %d arrays in its map", len(f.pending))
+	}
+}
+
 func TestArraysListing(t *testing.T) {
 	f := New()
 	f.Add(4, 0, 1, 1, true, bfj.Pos{})

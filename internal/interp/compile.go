@@ -278,6 +278,28 @@ func (t *Thread) push(n int) []Value {
 	return f
 }
 
+// MaxHeapWords bounds the program data one run may allocate, in value
+// words as Counters.BaseWords counts them: 384 MiB of 24-byte values.
+// A newarray or new that would pass it fails as a runtime error before
+// it allocates, where an unbounded size would kill the process.  The
+// largest workload allocates 114,657 words at scale 1 and grows about
+// linearly with the scale factor, so the bound leaves ~146× headroom.
+const MaxHeapWords = 1 << 24
+
+// charge adds words of program data to the run's allocation, failing
+// first when the total would pass MaxHeapWords.
+func (in *Interp) charge(words uint64) {
+	if words > MaxHeapWords-in.C.BaseWords {
+		failHeap(words, in.C.BaseWords)
+	}
+	in.C.BaseWords += words
+}
+
+//go:noinline
+func failHeap(words, used uint64) {
+	fail("allocation of %d words would take the run's heap past %d words (interp.MaxHeapWords; %d in use)", words, MaxHeapWords, used)
+}
+
 // statement compilation ---------------------------------------------------
 
 func (c *compiler) compileStmt(s bfj.Stmt, sc *scope) cstmt {
@@ -311,9 +333,9 @@ func (c *compiler) compileStmt(s bfj.Stmt, sc *scope) cstmt {
 		return func(t *Thread) {
 			in := t.in
 			in.step(t)
+			in.charge(uint64(nf) + 1)
 			o := &Object{ID: in.nextObjID, Class: cls, fields: make([]Value, nf)}
 			in.nextObjID++
-			in.C.BaseWords += uint64(nf) + 1
 			t.slotSet(dst, objVal(o))
 		}
 	case *bfj.NewArray:
@@ -327,9 +349,9 @@ func (c *compiler) compileStmt(s bfj.Stmt, sc *scope) cstmt {
 			if n < 0 {
 				fail("newarray with negative size %d", n)
 			}
+			in.charge(uint64(n) + 1)
 			a := &Array{ID: in.nextArrID, Elems: make([]Value, n)}
 			in.nextArrID++
-			in.C.BaseWords += uint64(n) + 1
 			t.slotSet(dst, arrVal(a))
 		}
 	case *bfj.FieldRead:
@@ -598,10 +620,9 @@ func (c *compiler) compileFork(x *bfj.Fork, sc *scope) cstmt {
 		for i, a := range args {
 			frame[i+1] = a(t)
 		}
-		nt := in.newThread(frame)
+		nt := in.newThread(frame, cb.run)
 		in.C.SyncOps++
 		in.hook.Fork(t.ID, nt.ID)
-		in.startThread(nt, func() { cb.run(nt) })
 		t.slotSet(dst, thVal(nt))
 	}
 }

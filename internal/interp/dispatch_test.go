@@ -150,10 +150,27 @@ class B { method m(p, q, r) { x = p; } }
 // and array accesses allocates nothing per iteration (frames come from
 // the thread's stack, fields from the object's slice, and the scheduler
 // reuses its scratch), so a run's allocations do not grow with its
-// iteration count.
+// iteration count.  Four threads of tight loops switch slices hundreds
+// of times per run, so resuming and suspending a thread coroutine must
+// not allocate either.
 func TestInterpAllocsFlat(t *testing.T) {
-	allocs := func(n int) float64 {
-		c := MustCompile(bfj.MustParse(fmt.Sprintf(`
+	const loop = `
+  for (i = 0; i < %[1]d; i = i + 1) {
+    j = i %% 16;
+    s = p.step(a, j);
+    a[j] = s;
+  }`
+	const threads = `
+thread { for (i = 0; i < %[1]d; i = i + 1) { x = i + 1; } }
+thread { for (i = 0; i < %[1]d; i = i + 1) { x = i + 2; } }
+thread { for (i = 0; i < %[1]d; i = i + 1) { x = i + 3; } }
+thread { for (i = 0; i < %[1]d; i = i + 1) { x = i + 4; } }`
+	for _, tc := range []struct{ name, body string }{
+		{"one thread", "thread {" + loop + "\n}"},
+		{"four threads", threads},
+	} {
+		allocs := func(n int) float64 {
+			c := MustCompile(bfj.MustParse(fmt.Sprintf(`
 class P {
   field x;
   field y;
@@ -166,24 +183,18 @@ class P {
     return r;
   }
 }
-setup { p = new P; a = newarray 16; }
-thread {
-  for (i = 0; i < %d; i = i + 1) {
-    j = i %% 16;
-    s = p.step(a, j);
-    a[j] = s;
-  }
-}`, n)))
-		return testing.AllocsPerRun(5, func() {
-			if _, err := c.Run(NopHook{}, Options{Seed: 1}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	const n = 2000
-	a1, a2 := allocs(n), allocs(2*n)
-	t.Logf("allocations per run: %v at %d iterations, %v at %d", a1, n, a2, 2*n)
-	if a2 > a1 {
-		t.Errorf("allocations grow with iterations: %v at %d, %v at %d", a1, n, a2, 2*n)
+setup { p = new P; a = newarray 16; }`+tc.body, n)))
+			return testing.AllocsPerRun(5, func() {
+				if _, err := c.Run(NopHook{}, Options{Seed: 1}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		const n = 2000
+		a1, a2 := allocs(n), allocs(2*n)
+		t.Logf("%s: allocations per run: %v at %d iterations, %v at %d", tc.name, a1, n, a2, 2*n)
+		if a2 > a1 {
+			t.Errorf("%s: allocations grow with iterations: %v at %d, %v at %d", tc.name, a1, n, a2, 2*n)
+		}
 	}
 }

@@ -2,9 +2,12 @@ package interp
 
 import "bigfoot/internal/bfj"
 
-// Hook receives every analysis-relevant event of an execution.  All
-// callbacks run on the scheduler token, so implementations need no
-// internal locking and observe a globally serialized event order.
+// Hook receives every analysis-relevant event of an execution.  The
+// callbacks run one at a time — on the thread coroutine that caused the
+// event, or on Run's caller for the program-end joins and Finish — so
+// implementations need no internal locking and observe a globally
+// serialized event order.  A callback that panics ends the run: every
+// thread is unwound and the panic reaches Run's caller.
 //
 // Raw access events (ReadField/WriteField/ReadIndex/WriteIndex) fire at
 // each heap access of the target; Check events fire when the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"iter"
 	"math/rand"
 
 	"bigfoot/internal/bfj"
@@ -55,15 +56,21 @@ type Counters struct {
 // Accesses returns total heap accesses.
 func (c Counters) Accesses() uint64 { return c.ReadAccesses + c.WriteAccesses }
 
-// Thread is one BFJ thread of control.
+// Thread is one BFJ thread of control.  It runs as a coroutine: the
+// scheduler resumes it with next, and it hands control back through
+// yield when its slice expires or it blocks.  stop unwinds it while it
+// is suspended (or before it ever ran).
 type Thread struct {
 	ID   int
 	done bool
 
-	in     *Interp
-	cur    frame // current (top) frame
-	depth  int   // call depth
-	resume chan struct{}
+	in    *Interp
+	cur   frame // current (top) frame
+	depth int   // call depth
+
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	// stack holds the frames of the thread's active calls; sp is its
 	// first free slot (see push).
@@ -158,18 +165,17 @@ type Interp struct {
 	C        Counters
 
 	// ctx cancels the run: the scheduler polls it between time slices
-	// and unwinds every thread goroutine before returning ctx.Err().
+	// and returns ctx.Err(); run then unwinds every thread coroutine.
 	ctx      context.Context
 	rng      *rand.Rand
 	threads  []*Thread
 	runnable []*Thread // scratch for schedule, reused every slice
-	back     chan struct{}
 
 	nextObjID int
 	nextArrID int
 
-	err     error
-	aborted bool
+	// err is the runtime error that ended a thread, and with it the run.
+	err error
 }
 
 // ErrStepLimit is wrapped by the error a run returns when it exceeds
@@ -179,6 +185,7 @@ var ErrStepLimit = fmt.Errorf("step limit exceeded")
 
 type runtimeErr struct{ msg string }
 
+// abortSignal unwinds a suspended thread when the run ends before it.
 type abortSignal struct{}
 
 func fail(format string, args ...any) {
@@ -196,9 +203,12 @@ func (c *Compiled) Run(hook Hook, opts Options) (Counters, error) {
 
 // RunContext is Run under a context: cancellation (or a deadline) stops
 // the execution at the next scheduling point, unwinds every thread
-// goroutine, and returns the partial counters alongside ctx.Err().  A
+// coroutine, and returns the partial counters alongside ctx.Err().  A
 // context that can never be cancelled (Done() == nil) adds no work to
 // the scheduler loop.
+//
+// A panic in a hook callback unwinds every thread coroutine and then
+// propagates to the caller of Run or RunContext.
 func (c *Compiled) RunContext(ctx context.Context, hook Hook, opts Options) (Counters, error) {
 	in := &Interp{
 		compiled: c,
@@ -206,7 +216,6 @@ func (c *Compiled) RunContext(ctx context.Context, hook Hook, opts Options) (Cou
 		opts:     opts.withDefaults(),
 		ctx:      ctx,
 		rng:      rand.New(rand.NewSource(opts.Seed)),
-		back:     make(chan struct{}),
 	}
 	err := in.run()
 	in.C.Threads = len(in.threads)
@@ -225,16 +234,22 @@ func Run(prog *bfj.Program, hook Hook, opts Options) (Counters, error) {
 }
 
 func (in *Interp) run() error {
+	// Every early end — step limit, deadlock, a runtime error, ctx
+	// cancellation, a panicking hook — leaves suspended coroutines
+	// behind; stopping them here unwinds them all.
+	defer func() {
+		for _, t := range in.threads {
+			t.stop()
+		}
+	}()
 	// Thread 0 executes the setup block and then forks the program's
 	// static thread blocks, which capture its environment bindings.
 	setupCB := in.compiled.setup
 	threadCBs := in.compiled.threads
-	t0 := in.newThread(setupCB.newFrame())
-	in.startThread(t0, func() {
+	in.newThread(setupCB.newFrame(), func(t0 *Thread) {
 		setupCB.run(t0)
 		base := t0.cur
 		for _, cb := range threadCBs {
-			cb := cb
 			env := cb.newFrame()
 			// Capture by value: every variable the thread mentions that
 			// setup defined is copied into the thread's frame.
@@ -243,10 +258,9 @@ func (in *Interp) run() error {
 					env[slot] = base[src]
 				}
 			}
-			nt := in.newThread(env)
+			nt := in.newThread(env, cb.run)
 			in.C.SyncOps++
 			in.hook.Fork(t0.ID, nt.ID)
-			in.startThread(nt, func() { cb.run(nt) })
 		}
 	})
 
@@ -264,54 +278,41 @@ func (in *Interp) run() error {
 	return nil
 }
 
-// newThread registers a thread with the scheduler.  Thread ids are
-// bounded by vc.MaxThreads: epochs pack the id into 8 bits, so a run
-// that forked more threads would silently alias shadow state across
-// threads (missed and false races).  Exceeding the bound is a runtime
-// error, reported through the normal fail path of the forking thread.
-func (in *Interp) newThread(env frame) *Thread {
+// newThread registers a thread that will run body as a coroutine; it
+// runs only when the scheduler resumes it.  Thread ids are bounded by
+// vc.MaxThreads: epochs pack the id into 8 bits, so a run that forked
+// more threads would silently alias shadow state across threads (missed
+// and false races).  Exceeding the bound is a runtime error, reported
+// through the normal fail path of the forking thread.
+func (in *Interp) newThread(env frame, body func(*Thread)) *Thread {
 	if len(in.threads) >= vc.MaxThreads {
 		fail("thread limit exceeded: fork would create thread %d, but epochs pack thread ids into %d values (vc.MaxThreads); more threads would alias race-detector shadow state",
 			len(in.threads), vc.MaxThreads)
 	}
-	t := &Thread{ID: len(in.threads), in: in, resume: make(chan struct{}), cur: env}
+	t := &Thread{ID: len(in.threads), in: in, cur: env}
+	t.next, t.stop = iter.Pull(func(yield func(struct{}) bool) {
+		t.yield = yield
+		defer func() {
+			t.done = true
+			switch r := recover().(type) {
+			case nil:
+				in.hook.ThreadEnd(t.ID)
+			case runtimeErr:
+				in.err = fmt.Errorf("thread %d: %s", t.ID, r.msg)
+			case abortSignal:
+				// stopped while suspended
+			default:
+				panic(r)
+			}
+		}()
+		body(t)
+	})
 	in.threads = append(in.threads, t)
 	return t
 }
 
-// startThread launches the thread's goroutine; it runs only when given
-// the scheduler token.
-func (in *Interp) startThread(t *Thread, body func()) {
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				switch e := r.(type) {
-				case runtimeErr:
-					if in.err == nil {
-						in.err = fmt.Errorf("thread %d: %s", t.ID, e.msg)
-					}
-					in.aborted = true
-				case abortSignal:
-					// unwound by scheduler abort
-				default:
-					panic(r)
-				}
-			}
-			t.done = true
-			if !in.aborted {
-				in.hook.ThreadEnd(t.ID)
-			}
-			in.back <- struct{}{}
-		}()
-		<-t.resume
-		if in.aborted {
-			panic(abortSignal{})
-		}
-		body()
-	}()
-}
-
-// schedule runs the token-passing scheduler until all threads finish.
+// schedule resumes one runnable thread per time slice until all threads
+// finish or the run ends early.
 func (in *Interp) schedule() error {
 	var done <-chan struct{}
 	if in.ctx != nil {
@@ -321,13 +322,11 @@ func (in *Interp) schedule() error {
 		if done != nil {
 			select {
 			case <-done:
-				in.abortAll()
 				return in.ctx.Err()
 			default:
 			}
 		}
 		if in.C.Steps > in.opts.MaxSteps {
-			in.abortAll()
 			return fmt.Errorf("%w (%d)", ErrStepLimit, in.opts.MaxSteps)
 		}
 		runnable := in.runnable[:0]
@@ -345,29 +344,15 @@ func (in *Interp) schedule() error {
 		if !alive {
 			return nil
 		}
-		if in.aborted {
-			in.abortAll()
+		if in.err != nil {
 			return in.err
 		}
 		if len(runnable) == 0 {
-			in.abortAll()
 			return fmt.Errorf("deadlock: all live threads are blocked")
 		}
 		t := runnable[in.rng.Intn(len(runnable))]
 		t.budget = in.opts.SliceMin + in.rng.Intn(in.opts.SliceMax-in.opts.SliceMin+1)
-		t.resume <- struct{}{}
-		<-in.back
-	}
-}
-
-// abortAll unwinds every parked thread goroutine.
-func (in *Interp) abortAll() {
-	in.aborted = true
-	for _, t := range in.threads {
-		if !t.done {
-			t.resume <- struct{}{}
-			<-in.back
-		}
+		t.next()
 	}
 }
 
@@ -390,10 +375,13 @@ func (in *Interp) step(t *Thread) {
 	}
 }
 
+// yield suspends t until the scheduler resumes it, or unwinds it when
+// the run ends first.  It stays out of line so that step, which runs
+// on every statement, inlines.
+//
+//go:noinline
 func (in *Interp) yield(t *Thread) {
-	in.back <- struct{}{}
-	<-t.resume
-	if in.aborted {
+	if !t.yield(struct{}{}) {
 		panic(abortSignal{})
 	}
 }

@@ -2,6 +2,8 @@ package interp
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -241,6 +243,43 @@ func TestRuntimeErrors(t *testing.T) {
 		if _, err := Run(prog, NopHook{}, Options{Seed: 0}); err == nil {
 			t.Errorf("expected runtime error for %q", src)
 		}
+	}
+}
+
+// TestHeapLimit: a newarray that would take the run's allocation past
+// MaxHeapWords fails as an ordinary runtime error before allocating,
+// whether one array passes the bound or a loop of large ones does.
+func TestHeapLimit(t *testing.T) {
+	var ms runtime.MemStats
+	for _, n := range []int64{MaxHeapWords, 1e15} {
+		prog := bfj.MustParse(fmt.Sprintf("setup { a = newarray(%d); }", n))
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		c, err := Run(prog, NopHook{}, Options{})
+		runtime.ReadMemStats(&ms)
+		if err == nil || !strings.Contains(err.Error(), "MaxHeapWords") {
+			t.Errorf("newarray(%d): error %v, want the heap limit", n, err)
+		}
+		if grew := ms.TotalAlloc - before; grew > 1<<20 {
+			t.Errorf("newarray(%d) allocated %d bytes before failing", n, grew)
+		}
+		if c.BaseWords != 0 {
+			t.Errorf("newarray(%d): BaseWords = %d, want 0", n, c.BaseWords)
+		}
+	}
+
+	// Sixteen arrays of a sixteenth of the bound pass it by their
+	// headers alone, so the sixteenth fails; the earlier ones are
+	// garbage by then.
+	const size = MaxHeapWords / 16
+	prog := bfj.MustParse(fmt.Sprintf(`
+setup { for (i = 0; i < 100; i = i + 1) { a = newarray %d; } }`, size))
+	c, err := Run(prog, NopHook{}, Options{})
+	if err == nil || !strings.Contains(err.Error(), "MaxHeapWords") {
+		t.Fatalf("loop of large arrays: error %v, want the heap limit", err)
+	}
+	if want := uint64(15 * (size + 1)); c.BaseWords != want {
+		t.Errorf("loop of large arrays: BaseWords = %d, want %d (fifteen arrays)", c.BaseWords, want)
 	}
 }
 

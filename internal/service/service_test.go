@@ -254,6 +254,36 @@ func TestDeepNestingKeepsServing(t *testing.T) {
 	}
 }
 
+// TestHugeArrayKeepsServing: a 41-byte program asking for a
+// 10^15-element array once panicked inside a thread goroutine and killed
+// the daemon.  It fails as a program error, and the daemon goes on
+// serving.
+func TestHugeArrayKeepsServing(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, data := postRun(t, ts.URL, RunRequest{Program: "setup { a = newarray(1000000000000000); }"})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422 (%.200s)", resp.StatusCode, data)
+	}
+	if code := errorCode(t, data); code != "program" {
+		t.Errorf("code %q, want %q", code, "program")
+	}
+	if !bytes.Contains(data, []byte("MaxHeapWords")) {
+		t.Errorf("error does not name the heap limit: %.200s", data)
+	}
+
+	vresp, err := http.Get(ts.URL + "/v1/version")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vresp.Body.Close()
+	if vresp.StatusCode != http.StatusOK {
+		t.Errorf("/v1/version after the failed request: status %d", vresp.StatusCode)
+	}
+	if resp, data := postRun(t, ts.URL, RunRequest{Program: clean}); resp.StatusCode != http.StatusOK {
+		t.Errorf("run after the failed request: status %d (%s)", resp.StatusCode, data)
+	}
+}
+
 // TestStatsEndpoint: cache counters are surfaced and move with traffic.
 func TestStatsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
