@@ -8,6 +8,7 @@ package bigfoot_test
 // BigFoot's design choices (coalescing, anticipation, loop invariants).
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"bigfoot/internal/analysis"
 	"bigfoot/internal/bfj"
 	"bigfoot/internal/detector"
+	"bigfoot/internal/engine"
 	"bigfoot/internal/harness"
 	"bigfoot/internal/interp"
 	"bigfoot/internal/proxy"
@@ -231,14 +233,17 @@ func BenchmarkStaticAnalysis(b *testing.B) {
 }
 
 // BenchmarkInterpreter measures base (uninstrumented) execution speed
-// on an array kernel (crypt) and an object- and call-heavy program
-// (pmd), at test scale, and on four threads of tight loops with no heap
-// traffic, where the scheduler's hand-off between slices is the cost
-// beside dispatch.  Those threads never block, so every slice but each
-// thread's last runs its full budget, drawn uniformly from the default
-// 20..120 steps: the run takes steps/70 slices.
+// on an array kernel (crypt), an expression-heavy kernel (moldyn) and
+// an object- and call-heavy program (pmd), at test scale, and on four
+// threads of tight loops with no heap traffic, where the scheduler's
+// hand-off between slices is the cost beside dispatch.  Those threads
+// never block, so every slice but each thread's last runs its full
+// budget, drawn uniformly from the default 20..120 steps: the run takes
+// steps/70 slices.  crypt/every runs crypt's every-access placement
+// (the FT and SS variant) under NopHook: the cost of dispatching a
+// singleton check before each array access, without a detector.
 func BenchmarkInterpreter(b *testing.B) {
-	progs := []struct{ name, src string }{{name: "crypt"}, {name: "pmd"}, {name: "threads4", src: `
+	progs := []struct{ name, src string }{{name: "crypt"}, {name: "crypt/every"}, {name: "moldyn"}, {name: "pmd"}, {name: "threads4", src: `
 setup { n = 100000; }
 thread { for (i = 0; i < n; i = i + 1) { x = i + 1; } }
 thread { for (i = 0; i < n; i = i + 1) { x = i + 2; } }
@@ -247,12 +252,17 @@ thread { for (i = 0; i < n; i = i + 1) { x = i + 4; } }
 `}}
 	for _, p := range progs {
 		b.Run(p.name, func(b *testing.B) {
+			name, every := strings.CutSuffix(p.name, "/every")
 			src := p.src
 			if src == "" {
-				w, _ := workloads.ByName(p.name, workloads.TestScale())
+				w, _ := workloads.ByName(name, workloads.TestScale())
 				src = w.Source
 			}
-			compiled := interp.MustCompile(bfj.MustParse(src))
+			prog := bfj.MustParse(src)
+			if every {
+				prog = engine.InstrumentFor(prog, "FT").Prog
+			}
+			compiled := interp.MustCompile(prog)
 			var steps uint64
 			for i := 0; i < b.N; i++ {
 				c, err := compiled.Run(interp.NopHook{}, interp.Options{Seed: 1})

@@ -165,14 +165,13 @@ type Detector struct {
 
 	clk clocks
 
-	fps []*footprint.Footprint
+	fps []*footprint.Footprint[*interp.Array]
 
 	// Shadow registries for the DebugCensus walk (the run path never
 	// iterates them).
 	objShadows []*objShadow
 	arrFine    []*fineArray
 	arrComp    []*shadow.ArrayShadow
-	arrByID    map[int]*interp.Array
 
 	// sites caches per-check-site resolution, indexed by
 	// interp.FieldCheck.Index: the proxy groups a site touches and the
@@ -230,7 +229,6 @@ type fineArray struct {
 func New(cfg Config) *Detector {
 	d := &Detector{
 		cfg:      cfg,
-		arrByID:  map[int]*interp.Array{},
 		slotIdx:  map[string]int{},
 		raceKeys: map[raceKey]bool{},
 	}
@@ -259,9 +257,9 @@ func (d *Detector) Races() []Race { return d.races }
 // RaceCount returns the number of distinct races found.
 func (d *Detector) RaceCount() int { return len(d.races) }
 
-func (d *Detector) fp(t int) *footprint.Footprint {
+func (d *Detector) fp(t int) *footprint.Footprint[*interp.Array] {
 	for len(d.fps) <= t {
-		d.fps = append(d.fps, footprint.New())
+		d.fps = append(d.fps, footprint.New[*interp.Array]())
 	}
 	return d.fps[t]
 }
@@ -342,9 +340,8 @@ func (d *Detector) commit(t int) {
 	}
 	now := d.clk.now(t)
 	arrays, entries := 0, 0
-	lastArray := -1
-	d.fps[t].Drain(func(arrayID int, e footprint.Entry) {
-		a := d.arrByID[arrayID]
+	var lastArray *interp.Array
+	d.fps[t].Drain(func(a *interp.Array, e footprint.Entry) {
 		sh := d.compShadow(a)
 		before := sh.Mode()
 		refsBefore := sh.Refinements
@@ -359,12 +356,12 @@ func (d *Detector) commit(t int) {
 		}
 		if d.obs != nil {
 			if after := sh.Mode(); after != before {
-				d.obs.ArrayRefinement(t, arrayID, before.String(), after.String())
+				d.obs.ArrayRefinement(t, a.ID, before.String(), after.String())
 			}
 			entries++
-			if arrayID != lastArray {
+			if a != lastArray {
 				arrays++
-				lastArray = arrayID
+				lastArray = a
 			}
 		}
 	})
@@ -451,8 +448,10 @@ func (d *Detector) CheckField(t int, write bool, o *interp.Object, fc *interp.Fi
 		haveNow = true
 	}
 	for _, slot := range site.slots {
-		for len(sh.states) <= slot {
-			sh.states = append(sh.states, shadow.State{})
+		if len(sh.states) <= slot {
+			// Size for every slot interned so far in one step; slots
+			// interned later grow it again.
+			sh.states = append(sh.states, make([]shadow.State, len(d.slotKeys)-len(sh.states))...)
 		}
 		st := &sh.states[slot]
 		if fast {
@@ -522,9 +521,8 @@ func (d *Detector) CheckField(t int, write bool, o *interp.Object, fc *interp.Fi
 func (d *Detector) CheckRange(t int, write bool, a *interp.Array, lo, hi, step int, poss []bfj.Pos) {
 	pos := firstPos(poss)
 	if d.cfg.Footprints {
-		d.arrByID[a.ID] = a
 		f := d.fp(t)
-		f.Add(a.ID, lo, hi, step, write, pos)
+		f.Add(a, lo, hi, step, write, pos)
 		if d.cfg.PeriodicCommit > 0 && f.AppendOps >= uint64(d.cfg.PeriodicCommit) {
 			d.commit(t)
 		}

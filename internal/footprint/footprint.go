@@ -21,17 +21,18 @@ type Entry struct {
 }
 
 // Footprint accumulates pending checks for the arrays a thread has
-// touched since its last synchronization operation.
-type Footprint struct {
-	pending map[int][]Entry // array id -> entries
-	order   []int           // array ids in first-touch order (deterministic drain)
+// touched since its last synchronization operation, keyed by K: the
+// array itself in the detector, a plain id in tests.
+type Footprint[K comparable] struct {
+	pending map[K][]Entry // array -> entries
+	order   []K           // arrays in first-touch order (deterministic drain)
 	// free holds the emptied entry slices of drained arrays, so a new
 	// epoch's first touch of an array reuses one instead of growing a
 	// slice from nil.
 	free [][]Entry
-	// lastID caches the most recently touched array (sequential access
+	// last caches the most recently touched array (sequential access
 	// runs hit the same array repeatedly).
-	lastID int
+	last   K
 	lastEs []Entry
 	// AppendOps counts footprint bookkeeping operations (the run-time
 	// cost SlimState pays per access and BigFoot pays per coalesced
@@ -40,21 +41,21 @@ type Footprint struct {
 }
 
 // New returns an empty footprint.
-func New() *Footprint {
-	return &Footprint{pending: map[int][]Entry{}}
+func New[K comparable]() *Footprint[K] {
+	return &Footprint[K]{pending: map[K][]Entry{}}
 }
 
-// Add records a pending check of [lo,hi):step on the array with the
-// given id.  Adjacent/duplicate ranges are merged opportunistically so
+// Add records a pending check of [lo,hi):step on array a.
+// Adjacent/duplicate ranges are merged opportunistically so
 // per-element footprinting (the SlimState mode) stays compact; merges
 // keep the existing entry's position (see Entry.Pos).
-func (f *Footprint) Add(arrayID int, lo, hi, step int, write bool, pos bfj.Pos) {
+func (f *Footprint[K]) Add(a K, lo, hi, step int, write bool, pos bfj.Pos) {
 	f.AppendOps++
 	var es []Entry
-	if f.lastEs != nil && f.lastID == arrayID {
+	if f.lastEs != nil && f.last == a {
 		es = f.lastEs
 	} else {
-		es = f.pending[arrayID]
+		es = f.pending[a]
 	}
 	if n := len(es); n > 0 && step == 1 {
 		last := &es[n-1]
@@ -86,27 +87,27 @@ func (f *Footprint) Add(arrayID int, lo, hi, step int, write bool, pos bfj.Pos) 
 		}
 	}
 	if len(es) == 0 {
-		f.order = append(f.order, arrayID)
+		f.order = append(f.order, a)
 		if n := len(f.free); n > 0 {
 			es = f.free[n-1]
 			f.free = f.free[:n-1]
 		}
 	}
 	es = append(es, Entry{Lo: lo, Hi: hi, Step: step, Write: write, Pos: pos})
-	f.pending[arrayID] = es
-	f.lastID, f.lastEs = arrayID, es
+	f.pending[a] = es
+	f.last, f.lastEs = a, es
 }
 
 // Drain removes and returns all pending entries, invoking visit for
-// each (arrayID, entry) pair in first-touch order (deterministic).  The
+// each (array, entry) pair in first-touch order (deterministic).  The
 // drained arrays leave the map; their entry slices go to the free list.
-func (f *Footprint) Drain(visit func(arrayID int, e Entry)) {
-	for _, id := range f.order {
-		es := f.pending[id]
+func (f *Footprint[K]) Drain(visit func(a K, e Entry)) {
+	for _, a := range f.order {
+		es := f.pending[a]
 		for _, e := range es {
-			visit(id, e)
+			visit(a, e)
 		}
-		delete(f.pending, id)
+		delete(f.pending, a)
 		f.free = append(f.free, es[:0])
 	}
 	f.order = f.order[:0]
@@ -114,14 +115,13 @@ func (f *Footprint) Drain(visit func(arrayID int, e Entry)) {
 }
 
 // Pending reports whether any checks are queued.
-func (f *Footprint) Pending() bool { return len(f.pending) > 0 }
+func (f *Footprint[K]) Pending() bool { return len(f.pending) > 0 }
 
-// Arrays returns the ids of arrays with pending entries in first-touch
-// order.
-func (f *Footprint) Arrays() []int {
-	return append([]int(nil), f.order...)
+// Arrays returns the arrays with pending entries in first-touch order.
+func (f *Footprint[K]) Arrays() []K {
+	return append([]K(nil), f.order...)
 }
 
 // Entries returns the pending entries for one array, valid until the
 // next Drain.
-func (f *Footprint) Entries(arrayID int) []Entry { return f.pending[arrayID] }
+func (f *Footprint[K]) Entries(a K) []Entry { return f.pending[a] }

@@ -8,14 +8,14 @@ import (
 	"bigfoot/internal/bfj"
 )
 
-func collect(f *Footprint) map[int][]Entry {
+func collect(f *Footprint[int]) map[int][]Entry {
 	out := map[int][]Entry{}
 	f.Drain(func(id int, e Entry) { out[id] = append(out[id], e) })
 	return out
 }
 
 func TestSequentialRunMerges(t *testing.T) {
-	f := New()
+	f := New[int]()
 	for i := 0; i < 100; i++ {
 		f.Add(1, i, i+1, 1, true, bfj.Pos{})
 	}
@@ -30,7 +30,7 @@ func TestSequentialRunMerges(t *testing.T) {
 }
 
 func TestStridedRunMerges(t *testing.T) {
-	f := New()
+	f := New[int]()
 	for i := 0; i < 64; i += 2 {
 		f.Add(3, i, i+1, 1, false, bfj.Pos{})
 	}
@@ -45,7 +45,7 @@ func TestStridedRunMerges(t *testing.T) {
 }
 
 func TestKindsDoNotMerge(t *testing.T) {
-	f := New()
+	f := New[int]()
 	f.Add(1, 0, 1, 1, true, bfj.Pos{})
 	f.Add(1, 1, 2, 1, false, bfj.Pos{}) // read after write: different kind
 	got := collect(f)
@@ -55,7 +55,7 @@ func TestKindsDoNotMerge(t *testing.T) {
 }
 
 func TestContainedRangeAbsorbed(t *testing.T) {
-	f := New()
+	f := New[int]()
 	f.Add(1, 0, 50, 1, true, bfj.Pos{})
 	f.Add(1, 10, 20, 1, true, bfj.Pos{})
 	got := collect(f)
@@ -65,7 +65,7 @@ func TestContainedRangeAbsorbed(t *testing.T) {
 }
 
 func TestDrainClearsAndPreservesOrder(t *testing.T) {
-	f := New()
+	f := New[int]()
 	f.Add(5, 0, 1, 1, true, bfj.Pos{})
 	f.Add(2, 0, 1, 1, true, bfj.Pos{})
 	f.Add(5, 7, 8, 1, true, bfj.Pos{})
@@ -90,7 +90,7 @@ func TestDrainClearsAndPreservesOrder(t *testing.T) {
 // the entry slices, Add/Drain cycles over the same arrays allocate
 // nothing — drained slices are reused, not regrown from nil.
 func TestSteadyStateEpochsDoNotAllocate(t *testing.T) {
-	f := New()
+	f := New[int]()
 	epoch := 0
 	cycle := func() {
 		epoch++
@@ -125,7 +125,7 @@ func TestSteadyStateEpochsDoNotAllocate(t *testing.T) {
 }
 
 func TestArraysListing(t *testing.T) {
-	f := New()
+	f := New[int]()
 	f.Add(4, 0, 1, 1, true, bfj.Pos{})
 	f.Add(8, 0, 1, 1, true, bfj.Pos{})
 	ids := f.Arrays()
@@ -142,7 +142,7 @@ func TestArraysListing(t *testing.T) {
 func TestMergePreservesCoverage(t *testing.T) {
 	run := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		f := New()
+		f := New[int]()
 		const n = 200
 		var wantW, wantR [n]bool
 		for op := 0; op < 60; op++ {
@@ -187,7 +187,7 @@ func TestMergePreservesCoverage(t *testing.T) {
 // untouched index 6 and drop the touched index 7 — a false alarm and a
 // missed race in one edit.  The singleton must stay a separate entry.
 func TestOffStrideRangeNotExtended(t *testing.T) {
-	f := New()
+	f := New[int]()
 	f.Add(1, 0, 6, 2, true, bfj.Pos{})
 	f.Add(1, 7, 8, 1, true, bfj.Pos{})
 	got := collect(f)
@@ -206,7 +206,7 @@ func TestOffStrideRangeNotExtended(t *testing.T) {
 // covers {0,2,4} with Hi-1 = 4 on-stride, so the singleton {6} is the
 // genuine next element and extends the range to {0,2,4,6}.
 func TestOnStrideRangeExtends(t *testing.T) {
-	f := New()
+	f := New[int]()
 	f.Add(1, 0, 5, 2, true, bfj.Pos{})
 	f.Add(1, 6, 7, 1, true, bfj.Pos{})
 	got := collect(f)
@@ -249,7 +249,7 @@ func TestInterleavedArraysMatchNaiveModel(t *testing.T) {
 	const elems = 128
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		f := New()
+		f := New[int]()
 		want := naiveFootprint{}
 		arrays := []int{3, 7, 11}
 		cur := arrays[rng.Intn(len(arrays))]

@@ -15,7 +15,8 @@ import (
 // and a field access site the classes that declare its field, so run
 // time only compares the receiver's class pointer.  This keeps base
 // interpretation fast enough that detector work dominates measured
-// overheads, as it does on the paper's JVM testbed.
+// overheads, as it does on the paper's JVM testbed.  Expressions compile
+// for the type their consumer needs (typed.go).
 //
 // Compilation is a separate stage from execution: the closures never
 // capture the executing Interp.  All run-time state (counters, hook,
@@ -305,12 +306,7 @@ func failHeap(words, used uint64) {
 func (c *compiler) compileStmt(s bfj.Stmt, sc *scope) cstmt {
 	switch x := s.(type) {
 	case *bfj.Assign:
-		dst := sc.slot(x.X)
-		e := c.compileExpr(x.E, sc)
-		return func(t *Thread) {
-			t.in.step(t)
-			t.slotSet(dst, e(t))
-		}
+		return c.compileAssign(x, sc)
 	case *bfj.Rename:
 		// A rename copies the raw slot, including the unassigned marker:
 		// pass 0 inserts renames flow-insensitively, so on a path where
@@ -340,12 +336,11 @@ func (c *compiler) compileStmt(s bfj.Stmt, sc *scope) cstmt {
 		}
 	case *bfj.NewArray:
 		dst := sc.slot(x.X)
-		size := c.compileExpr(x.Size, sc)
-		var szE fmt.Stringer = x.Size
+		size := c.compileInt(x.Size, sc, x.Size)
 		return func(t *Thread) {
 			in := t.in
 			in.step(t)
-			n := asInt(size(t), szE)
+			n := size(t)
 			if n < 0 {
 				fail("newarray with negative size %d", n)
 			}
@@ -394,14 +389,13 @@ func (c *compiler) compileStmt(s bfj.Stmt, sc *scope) cstmt {
 	case *bfj.ArrayRead:
 		dst := sc.slot(x.X)
 		arr := sc.slot(x.Y)
-		idx := c.compileExpr(x.Z, sc)
-		var idxE fmt.Stringer = x.Z
+		idx := c.compileInt(x.Z, sc, x.Z)
 		pos := x.Pos
 		return func(t *Thread) {
 			in := t.in
 			in.step(t)
 			a := getArr(t, arr, string(x.Y))
-			i := asInt(idx(t), idxE)
+			i := idx(t)
 			if i < 0 || i >= int64(len(a.Elems)) {
 				fail("array read out of bounds: index %d, length %d", i, len(a.Elems))
 			}
@@ -411,15 +405,14 @@ func (c *compiler) compileStmt(s bfj.Stmt, sc *scope) cstmt {
 		}
 	case *bfj.ArrayWrite:
 		arr := sc.slot(x.Y)
-		idx := c.compileExpr(x.Z, sc)
-		var idxE fmt.Stringer = x.Z
+		idx := c.compileInt(x.Z, sc, x.Z)
 		e := c.compileExpr(x.E, sc)
 		pos := x.Pos
 		return func(t *Thread) {
 			in := t.in
 			in.step(t)
 			a := getArr(t, arr, string(x.Y))
-			i := asInt(idx(t), idxE)
+			i := idx(t)
 			v := e(t)
 			if i < 0 || i >= int64(len(a.Elems)) {
 				fail("array write out of bounds: index %d, length %d", i, len(a.Elems))
@@ -461,13 +454,12 @@ func (c *compiler) compileStmt(s bfj.Stmt, sc *scope) cstmt {
 			}
 		}
 	case *bfj.If:
-		cond := c.compileExpr(x.Cond, sc)
-		var condE fmt.Stringer = x.Cond
+		cond := c.compileBool(x.Cond, sc, x.Cond)
 		then := c.compileBlock(x.Then, sc)
 		els := c.compileBlock(x.Else, sc)
 		return func(t *Thread) {
 			t.in.step(t)
-			if asBool(cond(t), condE) {
+			if cond(t) {
 				for _, s := range then {
 					s(t)
 				}
@@ -479,8 +471,7 @@ func (c *compiler) compileStmt(s bfj.Stmt, sc *scope) cstmt {
 		}
 	case *bfj.Loop:
 		pre := c.compileBlock(x.Pre, sc)
-		cond := c.compileExpr(x.Cond, sc)
-		var condE fmt.Stringer = x.Cond
+		cond := c.compileBool(x.Cond, sc, x.Cond)
 		post := c.compileBlock(x.Post, sc)
 		return func(t *Thread) {
 			for {
@@ -488,7 +479,7 @@ func (c *compiler) compileStmt(s bfj.Stmt, sc *scope) cstmt {
 					s(t)
 				}
 				t.in.step(t)
-				if asBool(cond(t), condE) {
+				if cond(t) {
 					return
 				}
 				for _, s := range post {
@@ -543,12 +534,11 @@ func (c *compiler) compileStmt(s bfj.Stmt, sc *scope) cstmt {
 			fmt.Fprintln(in.opts.Out)
 		}
 	case *bfj.Assert:
-		cond := c.compileExpr(x.Cond, sc)
-		var condE fmt.Stringer = x.Cond
+		cond := c.compileBool(x.Cond, sc, x.Cond)
 		return func(t *Thread) {
 			t.in.step(t)
-			if !asBool(cond(t), condE) {
-				fail("assertion failed: %s", condE)
+			if !cond(t) {
+				fail("assertion failed: %s", x.Cond)
 			}
 		}
 	}
@@ -633,15 +623,12 @@ func (c *compiler) compileCheck(x *bfj.Check, sc *scope) cstmt {
 		field bool
 		base  int
 		fc    *FieldCheck
-		lo    cexpr
-		hi    cexpr
-		step  cexpr
-		path  fmt.Stringer
+		rng   checkRange
 		poss  []bfj.Pos
 	}
 	items := make([]citem, 0, len(x.Items))
 	for _, it := range x.Items {
-		ci := citem{write: it.Kind == bfj.Write, path: it.Path, poss: it.Positions}
+		ci := citem{write: it.Kind == bfj.Write, poss: it.Positions}
 		switch p := it.Path.(type) {
 		case expr.FieldPath:
 			ci.field = true
@@ -650,9 +637,7 @@ func (c *compiler) compileCheck(x *bfj.Check, sc *scope) cstmt {
 			c.fieldChecks++
 		case expr.ArrayPath:
 			ci.base = sc.slot(p.Base)
-			ci.lo = c.compileExpr(p.Range.Lo, sc)
-			ci.hi = c.compileExpr(p.Range.Hi, sc)
-			ci.step = c.compileExpr(p.Range.Step, sc)
+			ci.rng = c.compileRange(p.Range, sc, p)
 		}
 		items = append(items, ci)
 	}
@@ -668,19 +653,17 @@ func (c *compiler) compileCheck(x *bfj.Check, sc *scope) cstmt {
 				continue
 			}
 			a := getArr(t, ci.base, "check designator")
-			lo := asInt(ci.lo(t), ci.path)
-			hi := asInt(ci.hi(t), ci.path)
-			step := asInt(ci.step(t), ci.path)
-			if step < 1 {
-				fail("check with non-positive stride %d", step)
-			}
-			if lo < 0 {
-				lo = 0
-			}
-			if hi > int64(a.Len()) {
-				hi = int64(a.Len())
-			}
-			if lo >= hi {
+			n := int64(a.Len())
+			var lo, hi, step int64
+			var ok bool
+			if ci.rng.single {
+				// lo..lo+1:1 clamped: the element itself, or nothing (also
+				// for lo = MaxInt64, where lo+1 wraps).
+				if lo = ci.rng.lo(t); lo < 0 || lo >= n {
+					continue
+				}
+				hi, step = lo+1, 1
+			} else if lo, hi, step, ok = ci.rng.span(t, n); !ok {
 				continue
 			}
 			in.countCheck(t)
@@ -689,90 +672,33 @@ func (c *compiler) compileCheck(x *bfj.Check, sc *scope) cstmt {
 	}
 }
 
-// expression compilation ---------------------------------------------------
-
-func (c *compiler) compileExpr(e expr.Expr, sc *scope) cexpr {
-	// what names the expression in type errors, converted once here
-	// rather than on every evaluation.
-	var what fmt.Stringer = e
-	switch x := e.(type) {
-	case expr.IntLit:
-		v := IntVal(x.Val)
-		return func(t *Thread) Value { return v }
-	case expr.BoolLit:
-		v := BoolVal(x.Val)
-		return func(t *Thread) Value { return v }
-	case expr.VarRef:
-		slot := sc.slot(x.Name)
-		return func(t *Thread) Value { return t.slotGet(slot) }
-	case expr.LenOf:
-		slot := sc.slot(x.Base)
-		name := string(x.Base)
-		return func(t *Thread) Value { return IntVal(int64(getArr(t, slot, name).Len())) }
-	case expr.Unary:
-		inner := c.compileExpr(x.X, sc)
-		switch x.Op {
-		case expr.OpNot:
-			return func(t *Thread) Value { return BoolVal(!asBool(inner(t), what)) }
-		case expr.OpNeg:
-			return func(t *Thread) Value { return IntVal(-asInt(inner(t), what)) }
-		}
-	case expr.Binary:
-		l := c.compileExpr(x.L, sc)
-		r := c.compileExpr(x.R, sc)
-		switch x.Op {
-		case expr.OpAnd:
-			return func(t *Thread) Value {
-				if !asBool(l(t), what) {
-					return BoolVal(false)
-				}
-				return BoolVal(asBool(r(t), what))
-			}
-		case expr.OpOr:
-			return func(t *Thread) Value {
-				if asBool(l(t), what) {
-					return BoolVal(true)
-				}
-				return BoolVal(asBool(r(t), what))
-			}
-		case expr.OpEq:
-			return func(t *Thread) Value { return BoolVal(l(t) == r(t)) }
-		case expr.OpNe:
-			return func(t *Thread) Value { return BoolVal(l(t) != r(t)) }
-		case expr.OpAdd:
-			return func(t *Thread) Value { return IntVal(asInt(l(t), what) + asInt(r(t), what)) }
-		case expr.OpSub:
-			return func(t *Thread) Value { return IntVal(asInt(l(t), what) - asInt(r(t), what)) }
-		case expr.OpMul:
-			return func(t *Thread) Value { return IntVal(asInt(l(t), what) * asInt(r(t), what)) }
-		case expr.OpDiv:
-			return func(t *Thread) Value {
-				d := asInt(r(t), what)
-				if d == 0 {
-					fail("division by zero")
-				}
-				return IntVal(expr.FloorDiv(asInt(l(t), what), d))
-			}
-		case expr.OpMod:
-			return func(t *Thread) Value {
-				d := asInt(r(t), what)
-				if d == 0 {
-					fail("modulo by zero")
-				}
-				return IntVal(expr.FloorMod(asInt(l(t), what), d))
-			}
-		case expr.OpLt:
-			return func(t *Thread) Value { return BoolVal(asInt(l(t), what) < asInt(r(t), what)) }
-		case expr.OpLe:
-			return func(t *Thread) Value { return BoolVal(asInt(l(t), what) <= asInt(r(t), what)) }
-		case expr.OpGt:
-			return func(t *Thread) Value { return BoolVal(asInt(l(t), what) > asInt(r(t), what)) }
-		case expr.OpGe:
-			return func(t *Thread) Value { return BoolVal(asInt(l(t), what) >= asInt(r(t), what)) }
+// compileAssign compiles x = e: an operator's typed result and a
+// literal are stored without a Value-returning closure.
+func (c *compiler) compileAssign(x *bfj.Assign, sc *scope) cstmt {
+	dst := sc.slot(x.X)
+	if v, ok := literal(x.E); ok {
+		return func(t *Thread) {
+			t.in.step(t)
+			t.slotSet(dst, v)
 		}
 	}
-	return func(t *Thread) Value {
-		fail("cannot evaluate expression %s", e)
-		return Value{}
+	switch kindOf(x.E) {
+	case KindInt:
+		e := c.compileInt(x.E, sc, x.E)
+		return func(t *Thread) {
+			t.in.step(t)
+			t.slotSet(dst, IntVal(e(t)))
+		}
+	case KindBool:
+		e := c.compileBool(x.E, sc, x.E)
+		return func(t *Thread) {
+			t.in.step(t)
+			t.slotSet(dst, BoolVal(e(t)))
+		}
+	}
+	e := c.compileExpr(x.E, sc)
+	return func(t *Thread) {
+		t.in.step(t)
+		t.slotSet(dst, e(t))
 	}
 }

@@ -152,7 +152,9 @@ class B { method m(p, q, r) { x = p; } }
 // reuses its scratch), so a run's allocations do not grow with its
 // iteration count.  Four threads of tight loops switch slices hundreds
 // of times per run, so resuming and suspending a thread coroutine must
-// not allocate either.
+// not allocate either.  Nor may the typed expression closures: the
+// third loop evaluates every logical operator, unary minus, division,
+// modulo and nested arithmetic, and makes an every-access array check.
 func TestInterpAllocsFlat(t *testing.T) {
 	const loop = `
   for (i = 0; i < %[1]d; i = i + 1) {
@@ -165,9 +167,21 @@ thread { for (i = 0; i < %[1]d; i = i + 1) { x = i + 1; } }
 thread { for (i = 0; i < %[1]d; i = i + 1) { x = i + 2; } }
 thread { for (i = 0; i < %[1]d; i = i + 1) { x = i + 3; } }
 thread { for (i = 0; i < %[1]d; i = i + 1) { x = i + 4; } }`
+	const typed = `
+thread {
+  for (i = 0; i < %[1]d; i = i + 1) {
+    j = (i * 7 + 3) %% 16;
+    k = -j / 3;
+    small = j < 4;
+    if (!small && (k != -2 || j >= 8)) { m = j; } else { m = 0 - k; }
+    check write(a[m]);
+    a[m] = k * (j + 1) - i;
+  }
+}`
 	for _, tc := range []struct{ name, body string }{
 		{"one thread", "thread {" + loop + "\n}"},
 		{"four threads", threads},
+		{"typed closures", typed},
 	} {
 		allocs := func(n int) float64 {
 			c := MustCompile(bfj.MustParse(fmt.Sprintf(`
