@@ -138,11 +138,20 @@ func MustParse(src string) *Program {
 func (p *Program) Text() string { return bfj.FormatProgram(p.ast) }
 
 // AnalysisStats reports the static analysis cost of instrumentation.
+// The work counters are zero for modes without StaticBF; unlike
+// AnalysisTime they do not vary from run to run or host to host.
 type AnalysisStats struct {
 	BodiesAnalyzed int
 	ChecksPlaced   int
 	CheckItems     int
 	AnalysisTime   float64 // seconds
+
+	// Blocks and Iterations count block analyses and loop refinement
+	// iterations by StaticBF's passes 1, 2 and 3.
+	Blocks, Iterations [3]int
+	// Solvers and Queries count the entailment solvers built and the
+	// queries they answered.
+	Solvers, Queries int
 }
 
 // Instrumented is a program with race checks placed for a mode.
@@ -169,6 +178,10 @@ func (p *Program) Instrument(m Mode) *Instrumented {
 			ChecksPlaced:   pl.Stats.ChecksPlaced,
 			CheckItems:     pl.Stats.CheckItems,
 			AnalysisTime:   pl.Stats.AnalysisTime.Seconds(),
+			Blocks:         pl.Stats.Work.Blocks,
+			Iterations:     pl.Stats.Work.Iterations,
+			Solvers:        pl.Stats.Work.Solvers,
+			Queries:        pl.Stats.Work.Queries,
 		},
 	}
 }

@@ -68,7 +68,7 @@ func run() int {
 		seed     = flag.Int64("seed", 0, "first schedule seed")
 		runs     = flag.Int("runs", 1, "number of consecutive seeds to run (compiled once)")
 		show     = flag.Bool("show", false, "print the instrumented program and exit")
-		stats    = flag.Bool("stats", false, "print check/shadow statistics")
+		stats    = flag.Bool("stats", false, "print check/shadow statistics and, under bigfoot, the static analysis's work")
 		traceOut = flag.String("trace-out", "", "record the first seed's execution as Chrome trace_event JSON to this file")
 		traceRec = flag.String("trace-rec", "", "record the first seed's execution as a compressed .bftrace to this file")
 		traceRep = flag.String("trace-replay", "", "replay a recorded .bftrace through its detector instead of running a program")
@@ -129,6 +129,13 @@ func run() int {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "compile error: %v\n", err)
 		return 1
+	}
+	if st := inst.Stats; *stats && st.BodiesAnalyzed > 0 {
+		fmt.Fprintf(os.Stderr, "analysis: bodies=%d checks=%d items=%d blocks=%d/%d/%d iterations=%d/%d/%d solvers=%d queries=%d time=%.2fms\n",
+			st.BodiesAnalyzed, st.ChecksPlaced, st.CheckItems,
+			st.Blocks[0], st.Blocks[1], st.Blocks[2],
+			st.Iterations[0], st.Iterations[1], st.Iterations[2],
+			st.Solvers, st.Queries, st.AnalysisTime*1e3)
 	}
 	seen := make(map[string]bool)
 	var races []bigfoot.Race

@@ -36,6 +36,32 @@ type Stats struct {
 	AnalysisTime    time.Duration
 	ChecksPlaced    int // check statements emitted
 	CheckItems      int // individual path items across all checks
+	Work            Work
+}
+
+// Work counts what the analysis did.  Unlike AnalysisTime it does not
+// depend on the host or the pool size, so it is the unit in which the
+// analysis's cost is pinned and budgeted.
+type Work struct {
+	// Blocks counts block analyses by passes 1, 2 and 3: one per call
+	// of the pass's block function.
+	Blocks [3]int
+	// Iterations counts loop refinement iterations by passes 1, 2 and 3.
+	Iterations [3]int
+	// Solvers counts the entailment solvers built.
+	Solvers int
+	// Queries counts the entailment queries the solvers answered.
+	Queries int
+}
+
+// add accumulates o into w.
+func (w *Work) add(o Work) {
+	for i := range w.Blocks {
+		w.Blocks[i] += o.Blocks[i]
+		w.Iterations[i] += o.Iterations[i]
+	}
+	w.Solvers += o.Solvers
+	w.Queries += o.Queries
 }
 
 // Analyzer runs BigFoot check placement on BFJ programs.
@@ -129,6 +155,7 @@ func (a *Analyzer) Instrument() *bfj.Program {
 		a.Stats.AnalysisTime += j.stats.AnalysisTime
 		a.Stats.ChecksPlaced += j.stats.ChecksPlaced
 		a.Stats.CheckItems += j.stats.CheckItems
+		a.Stats.Work.add(j.stats.Work)
 	}
 	return out
 }
@@ -151,6 +178,10 @@ func (a *Analyzer) AnalyzeBody(b *bfj.Block, params []expr.Var) *bfj.Block {
 	// [Stmt]/[Method]: final checks at the body's end.
 	final := Checks(h, NewAntSet())
 	p3.emitCheck(out, h, final)
+	for _, s := range tab.byFacts {
+		a.Stats.Work.Solvers++
+		a.Stats.Work.Queries += s.Queries()
+	}
 	return out
 }
 
@@ -344,6 +375,7 @@ type pass1 struct {
 }
 
 func (p *pass1) block(b *bfj.Block, h History) History {
+	p.a.Stats.Work.Blocks[0]++
 	states := make([]History, len(b.Stmts)+1)
 	for i, s := range b.Stmts {
 		states[i] = h
@@ -414,17 +446,18 @@ func (p *pass1) stmt(s bfj.Stmt, h History) History {
 	return h
 }
 
+// loop refines the invariant candidates until every one is entailed on
+// loop entry and preserved around the back edge.  Refinement strictly
+// shrinks a finite set, so the loop always leaves through that test, and
+// the converging iteration ran with the final invariant: the states it
+// stored for the body's blocks and inner loops are the final ones.
 func (p *pass1) loop(lp *bfj.Loop, hin History) History {
 	candidates := p.invariantCandidates(lp, hin)
-	// Refinement strictly shrinks the candidate set, so it converges in
-	// at most len(candidates)+1 iterations to a validated invariant
-	// (entailed on loop entry and preserved around the back edge).
-	limit := len(candidates) + 1
-	for iter := 0; iter < limit; iter++ {
+	for {
+		p.a.Stats.Work.Iterations[0]++
 		hinv := hin.withFacts(candidates...)
 		hTest := p.block(lp.Pre, hinv)
-		hBack0 := hTest.Add(BoolFact{E: expr.Not(lp.Cond)})
-		hBack := p.block(lp.Post, hBack0)
+		hBack := p.block(lp.Post, hTest.Add(BoolFact{E: expr.Not(lp.Cond)}))
 		keep := candidates[:0:0]
 		for _, c := range candidates {
 			if EntailsFact(hin, c) && EntailsFact(hBack, c) {
@@ -432,19 +465,12 @@ func (p *pass1) loop(lp *bfj.Loop, hin History) History {
 			}
 		}
 		if len(keep) == len(candidates) {
-			break
+			p.loopInv[lp] = hinv
+			p.loopTest[lp] = hTest
+			return hTest.Add(BoolFact{E: lp.Cond})
 		}
 		candidates = keep
 	}
-	// Re-run with the final invariant so stored per-point states are
-	// consistent with it.
-	hinv := hin.withFacts(candidates...)
-	p.loopInv[lp] = hinv
-	hTest := p.block(lp.Pre, hinv)
-	hBack0 := hTest.Add(BoolFact{E: expr.Not(lp.Cond)})
-	p.block(lp.Post, hBack0)
-	p.loopTest[lp] = hTest
-	return hTest.Add(BoolFact{E: lp.Cond})
 }
 
 // inductionVar describes a linear induction variable of a loop.

@@ -20,6 +20,7 @@ type pass2 struct {
 }
 
 func (p *pass2) block(b *bfj.Block, aOut AntSet) AntSet {
+	p.a.Stats.Work.Blocks[1]++
 	states := make([]AntSet, len(b.Stmts)+1)
 	states[len(b.Stmts)] = aOut
 	a := aOut
@@ -116,27 +117,22 @@ func (p *pass2) loop(lp *bfj.Loop, aOut AntSet) AntSet {
 		aHead = NewAntSet()
 	}
 
-	var aPreIn AntSet
-	limit := aHead.Len() + 1
-	for iter := 0; iter <= limit; iter++ {
+	// Keep the candidates justified by the computed head set.  As in
+	// pass 1, the set only shrinks, and the converging iteration stored
+	// the final states.
+	for {
+		p.a.Stats.Work.Iterations[1]++
 		aPostIn := p.block(lp.Post, aHead)
-		aTest := MeetAnt(hOut, aOut, hBack0, aPostIn)
-		aPreIn = p.block(lp.Pre, aTest)
-		// Keep candidates justified by the computed head set.
+		aPreIn := p.block(lp.Pre, MeetAnt(hOut, aOut, hBack0, aPostIn))
 		next := aHead.Filter(func(f AntFact) bool {
 			return EntailsAnt(hinv, aPreIn, f.Kind, f.Path)
 		})
 		if next.Len() == aHead.Len() {
-			break
+			p.loopHead[lp] = aPreIn
+			return aPreIn
 		}
 		aHead = next
 	}
-	// Final run with the stabilized head set so stored states match.
-	aPostIn := p.block(lp.Post, aHead)
-	aTest := MeetAnt(hOut, aOut, hBack0, aPostIn)
-	aPreIn = p.block(lp.Pre, aTest)
-	p.loopHead[lp] = aPreIn
-	return aPreIn
 }
 
 type fieldAccess struct {
@@ -209,6 +205,7 @@ func (p *pass3) emitCheck(out *bfj.Block, h History, items []bfj.CheckItem) Hist
 }
 
 func (p *pass3) block(b *bfj.Block, h History) (*bfj.Block, History) {
+	p.a.Stats.Work.Blocks[2]++
 	out := &bfj.Block{}
 	for i, s := range b.Stmts {
 		h = p.stmt(s, h, out, b, i)
@@ -346,8 +343,8 @@ func (p *pass3) loop(lp *bfj.Loop, hin History, out *bfj.Block) History {
 	var preOut, postOut *bfj.Block
 	var hTest, hBack History
 	var cback []bfj.CheckItem
-	limit := len(candC) + 1
-	for iter := 0; iter <= limit; iter++ {
+	for {
+		p.a.Stats.Work.Iterations[2]++
 		hHead := hinvBase
 		for _, c := range candC {
 			hHead = hHead.Add(CheckFact{Kind: c.Kind, Path: c.Path})

@@ -108,7 +108,7 @@ func (r *renamer) stmt(s bfj.Stmt, out *bfj.Block) {
 	case *bfj.FieldRead:
 		r.seen[x.Y] = true
 		old, ren := r.def(x.X, out)
-		out.Stmts = append(out.Stmts, &bfj.FieldRead{X: x.X, Y: subVar(x.Y, x.X, old, ren), F: x.F})
+		out.Stmts = append(out.Stmts, &bfj.FieldRead{X: x.X, Y: subVar(x.Y, x.X, old, ren), F: x.F, Pos: x.Pos})
 	case *bfj.FieldWrite:
 		r.seen[x.Y] = true
 		r.noteExpr(x.E)
@@ -117,7 +117,7 @@ func (r *renamer) stmt(s bfj.Stmt, out *bfj.Block) {
 		r.seen[x.Y] = true
 		r.noteExpr(x.Z)
 		old, ren := r.def(x.X, out)
-		out.Stmts = append(out.Stmts, &bfj.ArrayRead{X: x.X, Y: subVar(x.Y, x.X, old, ren), Z: sub(x.Z, x.X, old, ren)})
+		out.Stmts = append(out.Stmts, &bfj.ArrayRead{X: x.X, Y: subVar(x.Y, x.X, old, ren), Z: sub(x.Z, x.X, old, ren), Pos: x.Pos})
 	case *bfj.ArrayWrite:
 		r.seen[x.Y] = true
 		r.noteExpr(x.Z)

@@ -200,7 +200,8 @@ type Join struct {
 // CheckItem is one path within a check(C) statement, distinguished by
 // access kind.  Positions is the sorted set of source positions of the
 // accesses this item covers: a single-access check carries one position,
-// a coalesced check carries the union of its constituents' positions.
+// a coalesced check carries the union of its constituents' positions of
+// the item's own kind (a write check cites write sites).
 // The slice is treated as immutable and may be shared across clones.
 type CheckItem struct {
 	Kind      AccessKind

@@ -71,15 +71,19 @@ func coalesceClass(s *entail.Solver, items []bfj.CheckItem) []bfj.CheckItem {
 	return coalesceFields(items)
 }
 
-// classPositions is the sorted union of the class's constituent position
-// sets.  Merged items attribute positions at class granularity: range
-// merging and read-covered-by-write dropping lose the item-level
-// attribution, so every item emitted for the class carries the full set
-// of access sites the class stood for.
-func classPositions(items []bfj.CheckItem) []bfj.Pos {
-	sets := make([][]bfj.Pos, len(items))
-	for i, it := range items {
-		sets[i] = it.Positions
+// classPositions is the sorted union of the position sets of the
+// class's constituents of the given kind.  Merged items attribute
+// positions at class granularity, since range merging loses the
+// item-level attribution, but per kind: a write item cites the class's
+// write sites and a read item its read sites.  The detector reports a
+// check's earliest position as its access site, so a write check that
+// also covers reads must not cite a read.
+func classPositions(items []bfj.CheckItem, kind bfj.AccessKind) []bfj.Pos {
+	var sets [][]bfj.Pos
+	for _, it := range items {
+		if it.Kind == kind {
+			sets = append(sets, it.Positions)
+		}
 	}
 	return bfj.UnionPos(sets...)
 }
@@ -88,7 +92,6 @@ func classPositions(items []bfj.CheckItem) []bfj.Pos {
 // dropping read fields already covered by the write group.
 func coalesceFields(items []bfj.CheckItem) []bfj.CheckItem {
 	base := items[0].Path.Designator()
-	poss := classPositions(items)
 	kindFields := map[bfj.AccessKind]map[string]bool{}
 	for _, it := range items {
 		fp := it.Path.(expr.FieldPath)
@@ -104,7 +107,7 @@ func coalesceFields(items []bfj.CheckItem) []bfj.CheckItem {
 	var out []bfj.CheckItem
 	writes := kindFields[bfj.Write]
 	if len(writes) > 0 {
-		out = append(out, bfj.CheckItem{Kind: bfj.Write, Path: expr.NewFieldPath(base, keys(writes)...), Positions: poss})
+		out = append(out, bfj.CheckItem{Kind: bfj.Write, Path: expr.NewFieldPath(base, keys(writes)...), Positions: classPositions(items, bfj.Write)})
 	}
 	var readOnly []string
 	for f := range kindFields[bfj.Read] {
@@ -113,7 +116,7 @@ func coalesceFields(items []bfj.CheckItem) []bfj.CheckItem {
 		}
 	}
 	if len(readOnly) > 0 {
-		out = append(out, bfj.CheckItem{Kind: bfj.Read, Path: expr.NewFieldPath(base, readOnly...), Positions: poss})
+		out = append(out, bfj.CheckItem{Kind: bfj.Read, Path: expr.NewFieldPath(base, readOnly...), Positions: classPositions(items, bfj.Read)})
 	}
 	return out
 }
@@ -131,7 +134,6 @@ func keys(m map[string]bool) []string {
 // covered by the (merged) write ranges.
 func coalesceArrays(s *entail.Solver, items []bfj.CheckItem) []bfj.CheckItem {
 	base := items[0].Path.Designator()
-	poss := classPositions(items)
 	byKind := map[bfj.AccessKind][]expr.StridedRange{}
 	for _, it := range items {
 		ap := it.Path.(expr.ArrayPath)
@@ -148,11 +150,12 @@ func coalesceArrays(s *entail.Solver, items []bfj.CheckItem) []bfj.CheckItem {
 		}
 	}
 	var out []bfj.CheckItem
+	wposs, rposs := classPositions(items, bfj.Write), classPositions(items, bfj.Read)
 	for _, r := range writeRanges {
-		out = append(out, bfj.CheckItem{Kind: bfj.Write, Path: expr.ArrayPath{Base: base, Range: r}, Positions: poss})
+		out = append(out, bfj.CheckItem{Kind: bfj.Write, Path: expr.ArrayPath{Base: base, Range: r}, Positions: wposs})
 	}
 	for _, r := range readRanges {
-		out = append(out, bfj.CheckItem{Kind: bfj.Read, Path: expr.ArrayPath{Base: base, Range: r}, Positions: poss})
+		out = append(out, bfj.CheckItem{Kind: bfj.Read, Path: expr.ArrayPath{Base: base, Range: r}, Positions: rposs})
 	}
 	return out
 }

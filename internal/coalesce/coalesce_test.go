@@ -193,3 +193,35 @@ func TestMixedFieldsAndArrays(t *testing.T) {
 		t.Errorf("got %v", render(got))
 	}
 }
+
+// TestPositionsKeptPerKind: a merged item cites the sites of its own
+// kind only, so a write check that also covers reads (dropped as
+// subsumed) still reports a write site first.
+func TestPositionsKeptPerKind(t *testing.T) {
+	at := func(it bfj.CheckItem, line int) bfj.CheckItem {
+		it.Positions = []bfj.Pos{{Line: line, Col: 5}}
+		return it
+	}
+	s := entail.New(nil)
+	got := Coalesce(s, []bfj.CheckItem{
+		at(fieldItem(bfj.Read, "p", "x"), 7),
+		at(fieldItem(bfj.Write, "p", "x"), 8),
+		at(fieldItem(bfj.Read, "p", "y"), 9),
+		at(arrItem(bfj.Read, "a", 0, 1, 1), 10),
+		at(arrItem(bfj.Write, "a", 1, 2, 1), 11),
+		at(arrItem(bfj.Read, "a", 2, 3, 1), 12),
+	})
+	want := map[string]string{
+		"write:p.x": "8:5", "read:p.y": "7:5 9:5",
+		"write:a[1..2]": "11:5", "read:a[0..1]": "10:5 12:5", "read:a[2..3]": "10:5 12:5",
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %v", render(got))
+	}
+	for _, it := range got {
+		key := it.Kind.String() + ":" + it.Path.String()
+		if ps := bfj.FormatPositions(it.Positions); ps != want[key] {
+			t.Errorf("%s cites %q, want %q", key, ps, want[key])
+		}
+	}
+}

@@ -13,7 +13,8 @@ import (
 // incremental census: CheckField (slot-indexed shadow states, cached
 // per-site group resolution), CheckRange (footprint append and
 // fine-grained element checks), footprint commit, and the sync path.
-// Results are committed as BENCH_PR5.json; regenerate with
+// Results are committed as trajectory/legacy/BENCH_PR5.json; regenerate
+// with
 //
 //	go test -bench . -benchmem -run '^$' ./internal/detector/
 //
@@ -138,8 +139,9 @@ func BenchmarkSync(b *testing.B) {
 }
 
 // BenchmarkFastPath measures each SmartTrack-style fast path in its
-// steady state (BENCH_PR9.json); every sub-benchmark must report
-// 0 allocs/op (also pinned functionally by TestFastPathZeroAllocs).
+// steady state (trajectory/legacy/BENCH_PR9.json); every sub-benchmark
+// must report 0 allocs/op (also pinned functionally by
+// TestFastPathZeroAllocs).
 //
 //   - same-epoch-read/write: one epoch comparison, no vector clock.
 //   - owned-write: the clock ticks between writes, so same-epoch misses

@@ -119,6 +119,7 @@ type PlacementStats struct {
 	ChecksPlaced   int
 	CheckItems     int
 	AnalysisTime   time.Duration
+	Work           analysis.Work
 }
 
 // placementStatsOf converts the static analyzer's stats.
@@ -128,6 +129,7 @@ func placementStatsOf(st analysis.Stats) PlacementStats {
 		ChecksPlaced:   st.ChecksPlaced,
 		CheckItems:     st.CheckItems,
 		AnalysisTime:   st.AnalysisTime,
+		Work:           st.Work,
 	}
 }
 

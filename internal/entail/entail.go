@@ -66,6 +66,9 @@ type Solver struct {
 	ineqKeys []expr.TermKey
 	system   []expr.Linear
 	fm       fm
+
+	// queries counts the queries answered, cached answers included.
+	queries int
 }
 
 // New builds a solver from the hypothesis set.  Conjunctions are split;
@@ -441,14 +444,22 @@ func (s *Solver) appendBoolKey(b []byte, f expr.Expr) []byte {
 // Queries
 // ---------------------------------------------------------------------------
 
+// Queries returns the number of queries the solver has answered: one
+// per call of Entails, ProveEq, ProveNe, ProveLe, ProveLt or ConstDiff.
+func (s *Solver) Queries() int { return s.queries }
+
 // Entails reports whether the hypotheses entail the boolean expression q.
 func (s *Solver) Entails(q expr.Expr) bool {
 	var buf [64]byte
 	key := expr.Append(buf[:0], q)
 	if v, ok := s.entailed[string(key)]; ok {
+		s.queries++
 		return v
 	}
+	// One query, however many comparisons q decomposes into.
+	n := s.queries
 	v := s.entails(q)
+	s.queries = n + 1
 	s.entailed[string(key)] = v
 	return v
 }
@@ -485,6 +496,7 @@ func (s *Solver) entails(q expr.Expr) bool {
 
 // ProveEq reports whether the hypotheses entail a == b.
 func (s *Solver) ProveEq(a, b expr.Expr) bool {
+	s.queries++
 	d := s.canonQuery(a, b)
 	defer func() { s.query = d }()
 	if c, ok := d.IsConst(); ok {
@@ -495,6 +507,7 @@ func (s *Solver) ProveEq(a, b expr.Expr) bool {
 
 // ProveNe reports whether the hypotheses entail a != b.
 func (s *Solver) ProveNe(a, b expr.Expr) bool {
+	s.queries++
 	d := s.canonQuery(a, b)
 	defer func() { s.query = d }()
 	if c, ok := d.IsConst(); ok {
@@ -515,6 +528,7 @@ func (s *Solver) ProveNe(a, b expr.Expr) bool {
 
 // ProveLe reports whether the hypotheses entail a <= b.
 func (s *Solver) ProveLe(a, b expr.Expr) bool {
+	s.queries++
 	d := s.canonQuery(b, a)
 	v := s.proveNonNeg(d)
 	s.query = d
@@ -523,6 +537,7 @@ func (s *Solver) ProveLe(a, b expr.Expr) bool {
 
 // ProveLt reports whether the hypotheses entail a < b.
 func (s *Solver) ProveLt(a, b expr.Expr) bool {
+	s.queries++
 	d := s.canonQuery(b, a)
 	d.Const--
 	v := s.proveNonNeg(d)
@@ -533,6 +548,7 @@ func (s *Solver) ProveLt(a, b expr.Expr) bool {
 // ConstDiff returns the constant value of a-b if the hypotheses
 // determine it exactly.
 func (s *Solver) ConstDiff(a, b expr.Expr) (int64, bool) {
+	s.queries++
 	d := s.canonQuery(a, b)
 	defer func() { s.query = d }()
 	if c, ok := d.IsConst(); ok {

@@ -3,6 +3,7 @@ package bigfoot_test
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"os"
 	"testing"
 
@@ -47,32 +48,47 @@ func TestQuickstartProvenanceGolden(t *testing.T) {
 }
 
 // TestRaceProvenanceAllModes: every detector mode reports the same site
-// pair with valid positions on a minimal racy program (writes on lines
-// 4 and 5).
+// pair, with valid positions and access kinds, on two minimal racy
+// programs: writes on lines 4 and 5, and a write on line 5 against a
+// read on line 7.  BigFoot's analysis renames reads before placing
+// checks, and a renamed read must keep its position.
 func TestRaceProvenanceAllModes(t *testing.T) {
-	prog := bigfoot.MustParse(racySrc)
-	for _, m := range []bigfoot.Mode{
-		bigfoot.FastTrack, bigfoot.RedCard, bigfoot.SlimState,
-		bigfoot.SlimCard, bigfoot.BigFoot,
+	for _, c := range []struct {
+		src   string
+		sites map[int]bool // line -> write
+	}{
+		{racySrc, map[int]bool{4: true, 5: true}},
+		{`class C { field f; }
+setup {
+  c = new C;
+}
+thread { c.f = 1; }
+thread {
+  x = c.f;
+}
+`, map[int]bool{5: true, 7: false}},
 	} {
-		rep, err := prog.Instrument(m).Run(bigfoot.RunConfig{Seed: 0})
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
-		}
-		if len(rep.Races) != 1 {
-			t.Fatalf("%s: races = %v", m, rep.Races)
-		}
-		r := rep.Races[0]
-		if !r.PrevPos.IsValid() || !r.CurPos.IsValid() {
-			t.Errorf("%s: missing provenance: %+v", m, r)
-			continue
-		}
-		lines := map[int]bool{r.PrevPos.Line: true, r.CurPos.Line: true}
-		if !lines[4] || !lines[5] {
-			t.Errorf("%s: sites = %s and %s, want lines 4 and 5", m, r.PrevPos, r.CurPos)
-		}
-		if !r.PrevWrite || !r.CurWrite {
-			t.Errorf("%s: want a write/write race, got %+v", m, r)
+		prog := bigfoot.MustParse(c.src)
+		for _, m := range []bigfoot.Mode{
+			bigfoot.FastTrack, bigfoot.RedCard, bigfoot.SlimState,
+			bigfoot.SlimCard, bigfoot.BigFoot,
+		} {
+			rep, err := prog.Instrument(m).Run(bigfoot.RunConfig{Seed: 0})
+			if err != nil {
+				t.Fatalf("%s: %v", m, err)
+			}
+			if len(rep.Races) != 1 {
+				t.Fatalf("%s: races = %v", m, rep.Races)
+			}
+			r := rep.Races[0]
+			if !r.PrevPos.IsValid() || !r.CurPos.IsValid() {
+				t.Errorf("%s: missing provenance: %+v", m, r)
+				continue
+			}
+			got := map[int]bool{r.PrevPos.Line: r.PrevWrite, r.CurPos.Line: r.CurWrite}
+			if !maps.Equal(got, c.sites) {
+				t.Errorf("%s: sites (line -> write) = %v, want %v: %+v", m, got, c.sites, r)
+			}
 		}
 	}
 }
