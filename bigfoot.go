@@ -53,8 +53,8 @@ var defaultRegistry = metrics.NewRegistry()
 var defaultEngine = engine.New(engine.Options{Metrics: defaultRegistry})
 
 // Metrics returns the process-wide registry behind every facade
-// execution: per-variant build/run latency histograms, detector work
-// counters, and pipeline transport costs.  Callers can serve it over
+// execution: per-variant build/run latency histograms and execution
+// and detector work counters.  Callers can serve it over
 // HTTP (Metrics().Handler()), dump it (Metrics().WriteText), or walk
 // the typed Snapshot.  Recording is passive — it never perturbs
 // detection results, which stay byte-identical with or without a
@@ -283,13 +283,24 @@ func (c *Compiled) Run(cfg RunConfig) (*Report, error) {
 // context's error, so callers can bound or interrupt a detected run
 // without dropping to internal packages.
 func (c *Compiled) RunContext(ctx context.Context, cfg RunConfig) (*Report, error) {
+	spec := cfg.spec(c.Stats)
+	spec.DetectorName = c.Mode.String()
+	out, err := defaultEngine.Run(ctx, c.variant, spec)
+	if err != nil {
+		return nil, err
+	}
+	return reportOf(out), nil
+}
+
+// spec translates cfg into the engine's run spec; stats label a
+// recorded trace's header.
+func (cfg RunConfig) spec(stats AnalysisStats) engine.RunSpec {
 	spec := engine.RunSpec{
-		DetectorName: c.Mode.String(),
-		Seed:         cfg.Seed,
-		MaxSteps:     cfg.MaxSteps,
-		Out:          cfg.Out,
-		Trace:        cfg.Trace,
-		DebugCensus:  cfg.DebugCensus,
+		Seed:        cfg.Seed,
+		MaxSteps:    cfg.MaxSteps,
+		Out:         cfg.Out,
+		Trace:       cfg.Trace,
+		DebugCensus: cfg.DebugCensus,
 	}
 	if cfg.Record != nil {
 		spec.Record = cfg.Record
@@ -299,15 +310,11 @@ func (c *Compiled) RunContext(ctx context.Context, cfg RunConfig) (*Report, erro
 		}
 		spec.RecordMeta = engine.RecordMeta{
 			Program: name,
-			Bodies:  c.Stats.BodiesAnalyzed,
-			Placed:  c.Stats.ChecksPlaced,
+			Bodies:  stats.BodiesAnalyzed,
+			Placed:  stats.ChecksPlaced,
 		}
 	}
-	out, err := defaultEngine.Run(ctx, c.variant, spec)
-	if err != nil {
-		return nil, err
-	}
-	return reportOf(out), nil
+	return spec
 }
 
 // reportOf converts an engine outcome into the facade report.
@@ -367,14 +374,21 @@ func (i *Instrumented) RunContext(ctx context.Context, cfg RunConfig) (*Report, 
 	return c.RunContext(ctx, cfg)
 }
 
-// RunBase executes the original (uninstrumented) program, returning its
-// print output and basic counters — useful for overhead baselines.
+// RunBase executes the original (uninstrumented) program through the
+// same engine as detected runs, returning its heap access count —
+// useful for overhead baselines.  cfg.Trace and cfg.Record capture the
+// run's events; a recorded base trace replays through ReplayTrace as
+// variant "base".
 func (p *Program) RunBase(cfg RunConfig) (accesses uint64, err error) {
-	c, err := interp.Run(p.ast, interp.NopHook{}, interp.Options{Seed: cfg.Seed, Out: cfg.Out, MaxSteps: cfg.MaxSteps})
+	c, err := interp.Compile(p.ast)
 	if err != nil {
 		return 0, err
 	}
-	return c.Accesses(), nil
+	out, err := defaultEngine.RunBase(context.Background(), c, cfg.spec(AnalysisStats{}))
+	if err != nil {
+		return 0, err
+	}
+	return out.Counters.Accesses(), nil
 }
 
 // CheckRaces is the one-call convenience API: instrument with BigFoot

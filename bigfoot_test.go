@@ -93,14 +93,55 @@ setup { print 1 + 2; }
 	}
 }
 
+// baseRuns reads bigfoot_engine_runs_total{variant="base"}, summed
+// over outcomes, from the facade's registry.
+func baseRuns() float64 {
+	var n float64
+	for _, f := range bigfoot.Metrics().Snapshot() {
+		if f.Name != "bigfoot_engine_runs_total" {
+			continue
+		}
+		for _, s := range f.Series {
+			for _, l := range s.Labels {
+				if l.Name == "variant" && l.Value == "base" {
+					n += s.Value
+				}
+			}
+		}
+	}
+	return n
+}
+
+// TestRunBase: a base run goes through the engine, so it is metered and
+// honors RunConfig's Trace and Record; the recorded trace replays as
+// variant "base" with the same accesses.
 func TestRunBase(t *testing.T) {
 	prog := bigfoot.MustParse(racySrc)
-	acc, err := prog.RunBase(bigfoot.RunConfig{Seed: 0})
+	before := baseRuns()
+	rec := bigfoot.NewRecorder(0)
+	var buf bytes.Buffer
+	acc, err := prog.RunBase(bigfoot.RunConfig{Seed: 0, Trace: rec, Record: &buf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if acc != 2 {
 		t.Errorf("accesses = %d, want 2", acc)
+	}
+	if rec.Len() == 0 {
+		t.Error("base run recorded no events into the Recorder")
+	}
+	if got := baseRuns(); got != before+1 {
+		t.Errorf("runs_total{variant=base} = %v, want %v", got, before+1)
+	}
+	rep, variant, err := bigfoot.ReplayTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if variant != "base" {
+		t.Errorf("replayed variant = %q, want base", variant)
+	}
+	if rep.Accesses != acc {
+		t.Errorf("replayed accesses = %d, want %d", rep.Accesses, acc)
 	}
 }
 

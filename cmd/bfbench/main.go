@@ -7,7 +7,7 @@
 //	bfbench [-figure2] [-figure8] [-table1] [-table2] [-all]
 //	        [-scale N] [-threads T] [-trials K] [-seed S] [-program name]
 //	        [-parallel N] [-timeout D] [-explain-races]
-//	        [-pipeline N] [-trace-rec dir] [-signature path]
+//	        [-trace-rec dir] [-signature path]
 //	        [-json path] [-diff old.json] [-diff-ignore m1,m2] [-tolerance F]
 //	        [-json-check path]
 //	        [-cpuprofile f] [-memprofile f] [-trace f] [-metrics-out f]
@@ -15,16 +15,12 @@
 //	bfbench -fuzz [-fuzz-seeds N] [-fuzz-sched K] [-fuzz-out f] [-seed S]
 //	        [-shard i/n] [-no-fast-paths] [-q]
 //
-// -pipeline N runs every execution's detection asynchronously (events
-// chunked N at a time to a detector goroutine over a bounded channel;
-// N < 0 picks the default chunk size) — deterministic results are
-// byte-identical to the synchronous default.  -trace-rec records trial
-// 0 of every configuration into dir as compressed .bftrace files;
-// -trace-replay re-analyzes such a directory offline (no
-// interpretation) and renders/serializes the reconstructed report
-// through the same views.  -signature writes the report's deterministic
-// signature to a file, so live and replayed runs can be compared
-// byte-for-byte (the CI trace-replay job does exactly that).
+// -trace-rec records trial 0 of every configuration into dir as
+// compressed .bftrace files; -trace-replay re-analyzes such a directory
+// offline (no interpretation) and renders/serializes the reconstructed
+// report through the same views.  -signature writes the report's
+// deterministic signature to a file, so live and replayed runs can be
+// compared byte-for-byte (the CI trace-replay job does exactly that).
 //
 // -fuzz runs a differential-fuzz campaign instead of the evaluation:
 // N generated programs (bfgen, seeded from -seed) each swept over K
@@ -44,7 +40,7 @@
 // worker count.  -timeout cancels the run, rendering whatever completed.
 //
 // -metrics-out dumps the run's metrics registry (engine latencies,
-// cache traffic, pipeline transport cost) in the Prometheus text
+// cache traffic, detector work counters) in the Prometheus text
 // exposition format at exit — the batch-tool equivalent of scraping
 // bigfootd's GET /metrics ("-" writes to stderr).  Unless -q is set,
 // long evaluation and fuzz campaigns also print a periodic stderr
@@ -113,7 +109,6 @@ func run() int {
 		fuzzOut   = flag.String("fuzz-out", "fuzz-repro.bfj", "write the shrunk repro of a -fuzz disagreement here")
 		fuzzShard = flag.String("shard", "", "check only shard i/n of the -fuzz program space (deterministic partition; all hosts use the same -seed)")
 		noFast    = flag.Bool("no-fast-paths", false, "disable the detectors' epoch-level fast paths during -fuzz (the fast-path differential cross-check still runs both ways)")
-		pipeline  = flag.Int("pipeline", 0, "async detection pipeline chunk size (0 = synchronous, <0 = default size)")
 		traceRec  = flag.String("trace-rec", "", "record trial 0 of every configuration as compressed traces into this directory")
 		traceRep  = flag.String("trace-replay", "", "replay a -trace-rec directory offline instead of running workloads")
 		sigOut    = flag.String("signature", "", "write the report's deterministic signature to this file")
@@ -190,7 +185,6 @@ func run() int {
 		Seed:     *seed,
 		Trials:   *trials,
 		Parallel: *parallel,
-		Pipeline: *pipeline,
 	}
 	if *traceRec != "" {
 		if *traceRep != "" {

@@ -6,13 +6,13 @@
 //
 //	bigfootd [-addr :8347] [-cache 64] [-max-steps N] [-max-timeout D]
 //	         [-max-in-flight N] [-max-queue N] [-cache-dir DIR]
-//	         [-trace-dir DIR] [-pipeline N] [-log-json] [-v]
+//	         [-trace-dir DIR] [-log-json] [-v]
 //
 // Endpoints:
 //
 //	POST /v1/run     {"program": "...", "detectors": ["FT","BF"], ...}
 //	                 -> harness.Report JSON (X-Bigfoot-Cache: hit|miss)
-//	GET  /v1/stats   -> uptime, build info, cache/session/pipeline counters
+//	GET  /v1/stats   -> uptime, build info, cache/session counters
 //	GET  /v1/version -> service and build identity
 //	GET  /metrics    -> Prometheus text exposition of every instrument
 //	GET  /healthz    -> ok
@@ -77,7 +77,6 @@ func run() int {
 		maxQueue   = flag.Int("max-queue", service.DefaultMaxQueue, "max sessions waiting for a slot before 429 (negative = no queue)")
 		cacheDir   = flag.String("cache-dir", "", "persist the artifact cache manifest here on shutdown and warm from it on boot")
 		traceDir   = flag.String("trace-dir", "", "record every run as compressed traces under this directory")
-		pipeline   = flag.Int("pipeline", 0, "run detection behind the async chunked pipeline (events per chunk; 0 = synchronous, -1 = default chunk size)")
 		logJSON    = flag.Bool("log-json", false, "emit the access log as JSON lines instead of text")
 		verbose    = flag.Bool("v", false, "debug logging: cache traffic, session failures, health/metrics polls")
 	)
@@ -107,7 +106,6 @@ func run() int {
 		MaxQueue:    *maxQueue,
 		CacheDir:    *cacheDir,
 		TraceDir:    *traceDir,
-		Pipeline:    *pipeline,
 		Metrics:     reg,
 		Logger:      logger,
 	})
@@ -120,7 +118,7 @@ func run() int {
 	srv := &http.Server{Handler: svc}
 	logger.Info("listening",
 		"addr", ln.Addr().String(), "cache", *cacheSize,
-		"max_steps", *maxSteps, "max_timeout", *maxTimeout, "pipeline", *pipeline,
+		"max_steps", *maxSteps, "max_timeout", *maxTimeout,
 		"max_in_flight", *maxInFly, "max_queue", *maxQueue, "cache_dir", *cacheDir)
 
 	serveErr := make(chan error, 1)

@@ -79,7 +79,7 @@ type Options struct {
 	// build failures).  nil discards.
 	Logf Logf
 	// Metrics receives the engine's instruments: build/run latency
-	// histograms, outcome and cache counters, pipeline totals.  nil
+	// histograms, outcome, execution and cache counters.  nil
 	// meters into detached instruments (no exposition, negligible
 	// cost).  Deterministic counters are folded in only after each run
 	// completes, so attaching a registry never perturbs signatures.
@@ -436,13 +436,6 @@ type RunSpec struct {
 	// RecordMeta labels a recorded trace's header (ignored when Record
 	// is nil).
 	RecordMeta RecordMeta
-	// PipelineChunk, when > 0, decouples detection from interpretation:
-	// hook events are batched into chunks of this many events and
-	// consumed by a detector goroutine behind a bounded channel
-	// (backpressure).  Deterministic counters and signatures are
-	// byte-identical to the synchronous path (0).  Negative uses the
-	// default chunk size.
-	PipelineChunk int
 	// DebugCensus cross-checks the incremental space census (slow;
 	// diagnostic only).
 	DebugCensus bool
@@ -490,10 +483,6 @@ type Outcome struct {
 	// DisableFastPaths set, except promotions, which FastTrack always
 	// performs).
 	FastPaths detector.FastPathStats
-
-	// Pipeline carries the streaming pipeline's drain and backpressure
-	// measurements; nil when the run was synchronous (PipelineChunk 0).
-	Pipeline *trace.PipelineStats
 }
 
 // countingHook forwards every event to the wrapped detector hook while
@@ -520,10 +509,79 @@ func (c *countingHook) CheckRange(t int, w bool, a *interp.Array, lo, hi, step i
 	c.Hook.CheckRange(t, w, a, lo, hi, step, poss)
 }
 
-// Run executes one variant under its detector.  This is the single
-// execution path of the system: detector construction, hook assembly
-// (check counting, trace recording), budget enforcement, and outcome
-// extraction all live here.  The returned Outcome is populated (with
+// chain is one execution's hook chain — BFTR writer → ring recorder →
+// check counter → detector, each link present only when asked for —
+// plus the links whose state is read back after the run.
+type chain struct {
+	hook     interp.Hook
+	d        *detector.Detector // nil for base runs
+	counting *countingHook
+	tw       *trace.Writer
+}
+
+// newChain assembles the hook chain around d (nil for an
+// uninstrumented run) from spec's Trace, Record and CountChecks.  A
+// recorded trace's header names variant and its proxy table.  Run,
+// RunBase and Replay all build their hooks here.
+func newChain(d *detector.Detector, spec RunSpec, variant string, proxies *proxy.Table) (*chain, error) {
+	c := &chain{hook: interp.NopHook{}, d: d}
+	if d != nil {
+		c.hook = d
+		if spec.CountChecks {
+			c.counting = &countingHook{Hook: d}
+			c.hook = c.counting
+		}
+	}
+	if spec.Trace != nil {
+		// Recorder first: each check event must be recorded before the
+		// detector emits the observer events it derives from that check.
+		c.hook = trace.Tee(spec.Trace, c.hook)
+		if d != nil {
+			d.SetObserver(spec.Trace)
+		}
+	}
+	if spec.Record != nil {
+		tw, err := trace.NewWriter(spec.Record, trace.Header{
+			Program:  spec.RecordMeta.Program,
+			Suite:    spec.RecordMeta.Suite,
+			Variant:  variant,
+			ProxyRep: proxies.Pairs(),
+			Seed:     spec.Seed,
+			MaxSteps: spec.MaxSteps,
+			Bodies:   spec.RecordMeta.Bodies,
+			Placed:   spec.RecordMeta.Placed,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("trace record: %w", err)
+		}
+		// Writer first: the persisted stream is the pristine hook order,
+		// ahead of recorder and detector side effects.
+		c.tw = tw
+		c.hook = trace.Tee(tw, c.hook)
+	}
+	return c, nil
+}
+
+// fill copies the detector's results and the check split into out.
+// Run, RunBase and Replay all read their outcomes back here.
+func (c *chain) fill(out *Outcome) {
+	if d := c.d; d != nil {
+		out.ShadowOps = d.Stats.ShadowOps
+		out.FootprintOps = d.Stats.FootprintOps
+		out.PeakWords = d.Stats.PeakWords
+		out.Races = d.Races()
+		out.ArrayModes = d.ArrayModes()
+		out.FastPaths = d.Stats.Fast
+	}
+	if c.counting != nil {
+		out.FieldChecks, out.ArrayChecks = c.counting.fields, c.counting.arrays
+	}
+}
+
+// Run executes one variant under its detector.  Run and RunBase are
+// the system's execution path: detector construction here, then hook
+// assembly (check counting, trace recording), budget enforcement and
+// outcome extraction in run.  The returned Outcome is populated (with
 // whatever completed) even when err is non-nil, so batch clients can
 // attribute partial work.
 func (e *Engine) Run(ctx context.Context, v *Variant, spec RunSpec) (*Outcome, error) {
@@ -538,70 +596,7 @@ func (e *Engine) Run(ctx context.Context, v *Variant, spec RunSpec) (*Outcome, e
 		DebugCensus:      spec.DebugCensus,
 		DisableFastPaths: spec.DisableFastPaths,
 	})
-	var hook interp.Hook = d
-	var counting *countingHook
-	if spec.CountChecks {
-		counting = &countingHook{Hook: d}
-		hook = counting
-	}
-	if spec.Trace != nil {
-		// Recorder first: each check event must be recorded before the
-		// detector emits the observer events it derives from that check.
-		hook = trace.Tee(spec.Trace, hook)
-		d.SetObserver(spec.Trace)
-	}
-	var tw *trace.Writer
-	if spec.Record != nil {
-		var werr error
-		tw, werr = trace.NewWriter(spec.Record, trace.Header{
-			Program:  spec.RecordMeta.Program,
-			Suite:    spec.RecordMeta.Suite,
-			Variant:  v.Name,
-			ProxyRep: v.Proxies.Pairs(),
-			Seed:     spec.Seed,
-			MaxSteps: spec.MaxSteps,
-			Bodies:   spec.RecordMeta.Bodies,
-			Placed:   spec.RecordMeta.Placed,
-		})
-		if werr != nil {
-			return &Outcome{Variant: v.Name}, fmt.Errorf("trace record: %w", werr)
-		}
-		// Writer first: the persisted stream is the pristine hook order,
-		// ahead of recorder and detector side effects.
-		hook = trace.Tee(tw, hook)
-	}
-	var pl *trace.Pipeline
-	if spec.PipelineChunk != 0 {
-		pl = trace.NewPipeline(hook, spec.PipelineChunk)
-		pl.DepthGauge = e.m.pipeDepth
-		hook = pl
-	}
-	out, err := e.exec(ctx, v.Compiled, hook, spec)
-	if pl != nil {
-		// Drain explicitly: on error paths the interpreter never calls
-		// Finish, and downstream state (detector stats, trace writer)
-		// must be complete before we read it below.
-		pl.Close()
-		st := pl.Stats()
-		out.Pipeline = &st
-	}
-	if tw != nil {
-		if werr := tw.Close(out.Counters, err); werr != nil && err == nil {
-			err = fmt.Errorf("trace record: %w", werr)
-		}
-	}
-	out.Variant = v.Name
-	out.ShadowOps = d.Stats.ShadowOps
-	out.FootprintOps = d.Stats.FootprintOps
-	out.PeakWords = d.Stats.PeakWords
-	out.Races = d.Races()
-	out.ArrayModes = d.ArrayModes()
-	out.FastPaths = d.Stats.Fast
-	if counting != nil {
-		out.FieldChecks, out.ArrayChecks = counting.fields, counting.arrays
-	}
-	e.observeRun(v.Name, out, err)
-	return out, err
+	return e.run(ctx, v.Name, v.Compiled, d, v.Proxies, spec)
 }
 
 // RunBase executes the uninstrumented base artifact (no detector) under
@@ -609,45 +604,25 @@ func (e *Engine) Run(ctx context.Context, v *Variant, spec RunSpec) (*Outcome, e
 // variant "base"; replaying one reproduces the base counters without
 // re-interpreting.
 func (e *Engine) RunBase(ctx context.Context, base *interp.Compiled, spec RunSpec) (*Outcome, error) {
-	var hook interp.Hook = interp.NopHook{}
-	if spec.Trace != nil {
-		hook = trace.Tee(spec.Trace, hook)
+	return e.run(ctx, BaseVariant, base, nil, nil, spec)
+}
+
+// run executes c through the hook chain around d and meters the
+// outcome under variant.
+func (e *Engine) run(ctx context.Context, variant string, c *interp.Compiled, d *detector.Detector, proxies *proxy.Table, spec RunSpec) (*Outcome, error) {
+	hooks, err := newChain(d, spec, variant, proxies)
+	if err != nil {
+		return &Outcome{Variant: variant}, err
 	}
-	var tw *trace.Writer
-	if spec.Record != nil {
-		var werr error
-		tw, werr = trace.NewWriter(spec.Record, trace.Header{
-			Program:  spec.RecordMeta.Program,
-			Suite:    spec.RecordMeta.Suite,
-			Variant:  BaseVariant,
-			Seed:     spec.Seed,
-			MaxSteps: spec.MaxSteps,
-			Bodies:   spec.RecordMeta.Bodies,
-			Placed:   spec.RecordMeta.Placed,
-		})
-		if werr != nil {
-			return &Outcome{}, fmt.Errorf("trace record: %w", werr)
-		}
-		hook = trace.Tee(tw, hook)
-	}
-	var pl *trace.Pipeline
-	if spec.PipelineChunk != 0 {
-		pl = trace.NewPipeline(hook, spec.PipelineChunk)
-		pl.DepthGauge = e.m.pipeDepth
-		hook = pl
-	}
-	out, err := e.exec(ctx, base, hook, spec)
-	if pl != nil {
-		pl.Close()
-		st := pl.Stats()
-		out.Pipeline = &st
-	}
-	if tw != nil {
-		if werr := tw.Close(out.Counters, err); werr != nil && err == nil {
+	out, err := e.exec(ctx, c, hooks.hook, spec)
+	out.Variant = variant
+	if hooks.tw != nil {
+		if werr := hooks.tw.Close(out.Counters, err); werr != nil && err == nil {
 			err = fmt.Errorf("trace record: %w", werr)
 		}
 	}
-	e.observeRun(BaseVariant, out, err)
+	hooks.fill(out)
+	e.observeRun(variant, out, err)
 	return out, err
 }
 

@@ -26,13 +26,6 @@ type engineMetrics struct {
 	footOps    *metrics.CounterVec // variant
 	races      *metrics.CounterVec // variant
 	fastHits   *metrics.CounterVec // variant, path
-
-	pipeEvents   *metrics.Counter
-	pipeChunks   *metrics.Counter
-	pipeReused   *metrics.Counter
-	pipeStall    *metrics.Counter
-	pipeDepth    *metrics.Gauge
-	pipeDepthMax *metrics.Gauge
 }
 
 func newEngineMetrics(r *metrics.Registry) engineMetrics {
@@ -63,18 +56,6 @@ func newEngineMetrics(r *metrics.Registry) engineMetrics {
 		fastHits: r.CounterVec("bigfoot_engine_fastpath_hits_total",
 			"detector fast-path hits and adaptive read-metadata transitions by path (same_epoch_read, same_epoch_write, owned_read, owned_write, lock_owner, read_promotion, read_demotion), folded in at run end",
 			"variant", "path"),
-		pipeEvents: r.Counter("bigfoot_pipeline_events_total",
-			"hook events that entered streaming pipelines"),
-		pipeChunks: r.Counter("bigfoot_pipeline_chunks_total",
-			"chunk handoffs to pipeline consumers"),
-		pipeReused: r.Counter("bigfoot_pipeline_chunks_reused_total",
-			"chunk buffers recycled through pipeline free lists"),
-		pipeStall: r.Counter("bigfoot_pipeline_stall_seconds_total",
-			"producer time spent blocked on a full chunk queue (backpressure)"),
-		pipeDepth: r.Gauge("bigfoot_pipeline_queue_depth",
-			"chunk-queue depth at the most recent handoff (live backpressure signal)"),
-		pipeDepthMax: r.Gauge("bigfoot_pipeline_queue_depth_max",
-			"high-water chunk-queue depth observed across all runs"),
 	}
 }
 
@@ -93,8 +74,8 @@ func outcomeClass(err error, races int) string {
 }
 
 // observeRun folds one completed execution into the registry.  It runs
-// after the interpreter, detector, and pipeline have all finished, so
-// nothing here can perturb the deterministic event stream.
+// after the interpreter and detector have both finished, so nothing
+// here can perturb the deterministic event stream.
 func (e *Engine) observeRun(variant string, out *Outcome, err error) {
 	m := &e.m
 	m.runSeconds.With(variant).ObserveDuration(out.Duration)
@@ -121,34 +102,5 @@ func (e *Engine) observeRun(variant string, out *Outcome, err error) {
 		if fp.n != 0 {
 			m.fastHits.With(variant, fp.path).Add(float64(fp.n))
 		}
-	}
-	if st := out.Pipeline; st != nil {
-		m.pipeEvents.Add(float64(st.Events))
-		m.pipeChunks.Add(float64(st.Chunks))
-		m.pipeReused.Add(float64(st.ChunksReused))
-		m.pipeStall.Add(st.Stall().Seconds())
-		m.pipeDepthMax.SetMax(float64(st.MaxQueueDepth))
-	}
-}
-
-// PipelineTotals is the engine-lifetime aggregate of streaming-pipeline
-// cost across every piped run, derived from the engine's instruments.
-// The service layer surfaces it in GET /v1/stats.
-type PipelineTotals struct {
-	Events        uint64  `json:"events"`
-	Chunks        uint64  `json:"chunks"`
-	ChunksReused  uint64  `json:"chunks_reused"`
-	StallSeconds  float64 `json:"stall_seconds"`
-	MaxQueueDepth int     `json:"max_queue_depth"`
-}
-
-// PipelineTotals snapshots the engine's aggregate pipeline counters.
-func (e *Engine) PipelineTotals() PipelineTotals {
-	return PipelineTotals{
-		Events:        uint64(e.m.pipeEvents.Value()),
-		Chunks:        uint64(e.m.pipeChunks.Value()),
-		ChunksReused:  uint64(e.m.pipeReused.Value()),
-		StallSeconds:  e.m.pipeStall.Value(),
-		MaxQueueDepth: int(e.m.pipeDepthMax.Value()),
 	}
 }

@@ -59,7 +59,7 @@ func TestEngineObservesRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := e.Run(context.Background(), art.Variant("BF"), RunSpec{Seed: 1, PipelineChunk: 8})
+	out, err := e.Run(context.Background(), art.Variant("BF"), RunSpec{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,16 +97,6 @@ func TestEngineObservesRuns(t *testing.T) {
 	}
 	if got := seriesValue(snap, "bigfoot_engine_cache_entries"); got != 1 {
 		t.Errorf("cache entries gauge = %v, want 1", got)
-	}
-	if out.Pipeline == nil {
-		t.Fatal("piped run has no pipeline stats")
-	}
-	tot := e.PipelineTotals()
-	if tot.Events != out.Pipeline.Events || tot.Chunks != out.Pipeline.Chunks {
-		t.Errorf("PipelineTotals %+v, want the run's %+v", tot, out.Pipeline)
-	}
-	if got := seriesValue(snap, "bigfoot_pipeline_events_total"); got != float64(out.Pipeline.Events) {
-		t.Errorf("pipeline_events_total = %v, want %d", got, out.Pipeline.Events)
 	}
 	fp := out.FastPaths
 	wantFast := float64(fp.Total() + fp.ReadPromotions + fp.ReadDemotions)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bigfoot/internal/detector"
-	"bigfoot/internal/interp"
 	"bigfoot/internal/proxy"
 	"bigfoot/internal/trace"
 )
@@ -41,8 +40,6 @@ type Replayed struct {
 	// own wall-clock time (detection only — no interpretation), which is
 	// exactly what an events/sec throughput metric wants.
 	Outcome *Outcome
-	// Events is the number of hook events replayed.
-	Events uint64
 	// RunErr is the recorded run's own failure (step limit, timeout,
 	// fault), reconstructed from the footer; nil when the run succeeded.
 	RunErr error
@@ -95,10 +92,7 @@ func Replay(r io.Reader, spec ReplaySpec) (*Replayed, error) {
 	}
 
 	res := &Replayed{Header: hdr, Outcome: &Outcome{Variant: name}}
-
-	var hook interp.Hook = interp.NopHook{}
 	var d *detector.Detector
-	var counting *countingHook
 	if name != BaseVariant {
 		d = detector.New(detector.Config{
 			Name:        name,
@@ -106,23 +100,13 @@ func Replay(r io.Reader, spec ReplaySpec) (*Replayed, error) {
 			Proxies:     proxy.FromPairs(hdr.ProxyRep),
 			DebugCensus: spec.DebugCensus,
 		})
-		hook = d
-		if spec.CountChecks {
-			counting = &countingHook{Hook: hook}
-			hook = counting
-		}
 	}
-	if spec.Trace != nil {
-		hook = trace.Tee(spec.Trace, hook)
-		if d != nil {
-			d.SetObserver(spec.Trace)
-		}
-	}
+	// Nothing is recorded, so building the chain cannot fail.
+	hooks, _ := newChain(d, RunSpec{Trace: spec.Trace, CountChecks: spec.CountChecks}, name, nil)
 
 	start := time.Now()
-	n, err := rd.Replay(hook)
+	_, err = rd.Replay(hooks.hook)
 	res.Outcome.Duration = time.Since(start)
-	res.Events = n
 	if err != nil {
 		return res, err
 	}
@@ -131,15 +115,6 @@ func Replay(r io.Reader, spec ReplaySpec) (*Replayed, error) {
 	if ftr.Err != "" {
 		res.RunErr = fmt.Errorf("recorded run failed: %s", ftr.Err)
 	}
-	if d != nil {
-		res.Outcome.ShadowOps = d.Stats.ShadowOps
-		res.Outcome.FootprintOps = d.Stats.FootprintOps
-		res.Outcome.PeakWords = d.Stats.PeakWords
-		res.Outcome.Races = d.Races()
-		res.Outcome.ArrayModes = d.ArrayModes()
-	}
-	if counting != nil {
-		res.Outcome.FieldChecks, res.Outcome.ArrayChecks = counting.fields, counting.arrays
-	}
+	hooks.fill(res.Outcome)
 	return res, nil
 }

@@ -12,10 +12,10 @@
 // trials; check ratio is executed check items / worker heap accesses;
 // memory overhead is peak shadow words / base data words.
 //
-// Execution is organized as a staged pipeline: a preparation stage
-// parses, instruments, and compiles each workload, then a job queue
-// fans the independent (program, variant, trial) executions out over a
-// bounded worker pool.  Every counter the harness reports is
+// Execution runs in two stages: a preparation stage parses,
+// instruments, and compiles each workload, then a job queue fans the
+// independent (program, variant, trial) executions out over a bounded
+// worker pool.  Every counter the harness reports is
 // deterministic (seeded schedules, trial-invariant), so the aggregated
 // results are identical at every worker count; only wall-clock timings
 // vary.
@@ -109,27 +109,16 @@ type DetectorResult struct {
 	ArrayModes   map[string]int `json:"array_modes,omitempty"`
 	RaceReports  []RaceReport   `json:"race_reports,omitempty"` // schema v2
 	// EventsPerSec is the macro detection throughput: hook events
-	// consumed (accesses + check items + sync ops) divided by the
-	// configuration's minimum trial time.  Wall-clock derived, so like
-	// Time/WallOverhead it is excluded from Signature and Diff.  For
-	// replayed reports (ReplayDir) the divisor is the replay's own
-	// detection time — offline analysis throughput.  Schema v3.
+	// consumed (accesses + check items + sync ops) divided by Time.
+	// Wall-clock derived, so like Time/WallOverhead it is excluded from
+	// Signature and Diff.  For replayed reports (ReplayDir) Time is the
+	// replay's own detection time — offline analysis throughput.
+	// Schema v3.
 	EventsPerSec float64 `json:"events_per_sec,omitempty"`
-	// Pipeline transport cost, populated only when the run streamed
-	// detection through the async pipeline (Options.Pipeline != 0).
-	// PipelineChunks is trial 0's chunk count (deterministic for a given
-	// chunk size).  PipelineMaxDepth is the high-water chunk-queue depth
-	// and PipelineStallNS the total producer backpressure time across
-	// all trials — wall-clock observations, so like Time they are
-	// excluded from Signature and Diff.  Schema v4.
-	PipelineChunks   uint64 `json:"pipeline_chunks,omitempty"`
-	PipelineMaxDepth int    `json:"pipeline_max_depth,omitempty"`
-	PipelineStallNS  int64  `json:"pipeline_stall_ns,omitempty"`
 }
 
 // hookEvents counts the hook events a detector consumed: worker heap
-// accesses, executed check items, and synchronization operations — the
-// stream the pipeline batches and the trace format persists.
+// accesses, executed check items, and synchronization operations.
 func hookEvents(c interp.Counters) uint64 {
 	return c.Accesses() + c.CheckItems + c.SyncOps
 }
@@ -156,8 +145,8 @@ func modelOverhead(checks, shadowOps, fpOps, syncOps, baseSteps uint64) float64 
 	return cost / float64(baseSteps)
 }
 
-// PhaseTimings records the wall-clock cost of each pipeline stage one
-// workload moved through: parsing, instrumenting (all five placements
+// PhaseTimings records the wall-clock cost of each stage one workload
+// moved through: parsing, instrumenting (all five placements
 // plus proxy analysis), compiling every variant, and executing every
 // (variant, trial) job.  Run sums all executions, so at -parallel N it
 // can exceed the elapsed wall time.  Timings are non-deterministic and
@@ -218,12 +207,6 @@ type Options struct {
 	// uninstrumented run), for offline re-analysis via ReplayDir.  The
 	// directory must exist.
 	TraceDir string
-	// Pipeline, when non-zero, runs every execution's detection
-	// asynchronously: hook events are chunked (this many events per
-	// chunk; negative = default size) to a consumer goroutine behind a
-	// bounded channel.  All deterministic counters — and Signature — are
-	// identical to the synchronous default (0).
-	Pipeline int
 }
 
 // DefaultOptions returns the standard evaluation configuration.
@@ -268,7 +251,7 @@ type runOutcome struct {
 	err error
 }
 
-// programState is one workload moving through the pipeline: the
+// programState is one workload moving through the two stages: the
 // engine-built artifact from the preparation stage, an outcome slot per
 // job, and a countdown that triggers deterministic aggregation when the
 // last job completes.
@@ -333,11 +316,7 @@ func (r *Runner) runJob(ctx context.Context, st *programState, v, trial int) {
 		slot.err = err
 		return
 	}
-	spec := engine.RunSpec{
-		Seed:          r.Opts.Seed,
-		MaxSteps:      r.Opts.MaxSteps,
-		PipelineChunk: r.Opts.Pipeline,
-	}
+	spec := engine.RunSpec{Seed: r.Opts.Seed, MaxSteps: r.Opts.MaxSteps}
 	variantName := engine.BaseVariant
 	if v > 0 {
 		variantName = st.art.Variants[v-1].Name
@@ -401,52 +380,49 @@ func (st *programState) finalize() {
 			res.Phases.Run += trials[i].out.Duration
 		}
 	}
-	base := st.outcomes[0]
-	res.BaseTime = minDur(base)
-	res.BaseSteps = base[0].out.Counters.Steps
-	res.Accesses = base[0].out.Counters.Accesses()
-	res.BaseWords = base[0].out.Counters.BaseWords
-
+	res.addOutcome(engine.BaseVariant, st.outcomes[0][0].out, minDur(st.outcomes[0]))
 	for i, v := range st.art.Variants {
 		trials := st.outcomes[1+i]
-		first := trials[0].out
-		dt := minDur(trials)
-		dc := first.Counters
-		dr := &DetectorResult{
-			Name:         v.Name,
-			Time:         dt,
-			Overhead:     modelOverhead(dc.CheckItems, first.ShadowOps, first.FootprintOps, dc.SyncOps, res.BaseSteps),
-			WallOverhead: overhead(dt, res.BaseTime),
-			CheckRatio:   ratio(dc.CheckItems, res.Accesses),
-			Checks:       dc.CheckItems,
-			ShadowOps:    first.ShadowOps,
-			FootprintOps: first.FootprintOps,
-			SyncOps:      dc.SyncOps,
-			PeakWords:    first.PeakWords,
-			SpaceOverX:   ratio(first.PeakWords, res.BaseWords),
-			Races:        len(first.Races),
-			ArrayModes:   first.ArrayModes,
-			RaceReports:  raceReports(first.Races),
-			EventsPerSec: eventsPerSec(hookEvents(dc), dt),
-		}
-		if first.Pipeline != nil {
-			dr.PipelineChunks = first.Pipeline.Chunks
-			for _, tr := range trials {
-				if st := tr.out.Pipeline; st != nil {
-					if st.MaxQueueDepth > dr.PipelineMaxDepth {
-						dr.PipelineMaxDepth = st.MaxQueueDepth
-					}
-					dr.PipelineStallNS += st.StallNanos
-				}
-			}
-		}
-		res.Detectors[v.Name] = dr
-		switch v.Name {
-		case "FT":
-			res.FTFieldChecks, res.FTArrayChecks = first.FieldChecks, first.ArrayChecks
-		case "BF":
-			res.BFFieldChecks, res.BFArrayChecks = first.FieldChecks, first.ArrayChecks
-		}
+		res.addOutcome(v.Name, trials[0].out, minDur(trials))
+	}
+}
+
+// addOutcome records one configuration's outcome on res, live or
+// replayed: the base run's counters (variant engine.BaseVariant), or a
+// detector's DetectorResult and, for FT and BF, its Figure 8 check
+// split.  dt is the configuration's reported time.  Add the base first:
+// detector overheads and ratios are taken against it.
+func (res *ProgramResult) addOutcome(variant string, out *engine.Outcome, dt time.Duration) {
+	c := out.Counters
+	if variant == engine.BaseVariant {
+		res.BaseTime = dt
+		res.BaseSteps = c.Steps
+		res.Accesses = c.Accesses()
+		res.BaseWords = c.BaseWords
+		return
+	}
+	res.Detectors[variant] = &DetectorResult{
+		Name:         variant,
+		Time:         dt,
+		Overhead:     modelOverhead(c.CheckItems, out.ShadowOps, out.FootprintOps, c.SyncOps, res.BaseSteps),
+		WallOverhead: overhead(dt, res.BaseTime),
+		CheckRatio:   ratio(c.CheckItems, res.Accesses),
+		Checks:       c.CheckItems,
+		ShadowOps:    out.ShadowOps,
+		FootprintOps: out.FootprintOps,
+		SyncOps:      c.SyncOps,
+		PeakWords:    out.PeakWords,
+		SpaceOverX:   ratio(out.PeakWords, res.BaseWords),
+		Races:        len(out.Races),
+		ArrayModes:   out.ArrayModes,
+		RaceReports:  raceReports(out.Races),
+		EventsPerSec: eventsPerSec(hookEvents(c), dt),
+	}
+	switch variant {
+	case "FT":
+		res.FTFieldChecks, res.FTArrayChecks = out.FieldChecks, out.ArrayChecks
+	case "BF":
+		res.BFFieldChecks, res.BFArrayChecks = out.FieldChecks, out.ArrayChecks
 	}
 }
 
@@ -538,7 +514,7 @@ func (r *Runner) RunAllContext(ctx context.Context) ([]*ProgramResult, error) {
 	return r.runWorkloads(ctx, workloads.All(r.Opts.Scale))
 }
 
-// runWorkloads drives the two pipeline stages over a bounded worker
+// runWorkloads drives the two stages over a bounded worker
 // pool.  A failing workload no longer aborts the evaluation: its error
 // is collected and the remaining programs still produce results.
 func (r *Runner) runWorkloads(ctx context.Context, ws []workloads.Workload) ([]*ProgramResult, error) {

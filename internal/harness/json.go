@@ -26,14 +26,17 @@ import (
 //	3: adds DetectorResult.EventsPerSec (macro detection throughput).
 //	   Additive and wall-clock derived (not diffed), so v1/v2 reports
 //	   remain readable and comparable.
-//	4: adds DetectorResult.PipelineChunks/PipelineMaxDepth/
-//	   PipelineStallNS (streaming transport cost of piped runs).
-//	   Additive; zero/omitted for synchronous runs and older reports.
-const ReportVersion = 4
+//	4: adds pipeline_chunks, pipeline_max_depth and pipeline_stall_ns
+//	   to each detector result (transport cost of the asynchronous
+//	   detection pipeline; omitted for synchronous runs).
+//	5: drops those three fields along with the pipeline.  v4 reports
+//	   still read: ReadJSON discards the three keys.
+const ReportVersion = 5
 
 // minReadVersion is the oldest schema ReadJSON still accepts.  Every
 // version in [minReadVersion, ReportVersion] is a subset of the current
-// field set, so decoding with DisallowUnknownFields remains sound.
+// field set plus the three v4 pipeline keys, which ReadJSON knows, so
+// decoding with DisallowUnknownFields remains sound.
 const minReadVersion = 1
 
 // RunInfo records the configuration a report was produced under, so two
@@ -125,22 +128,50 @@ func (rep *Report) WriteJSONFile(path string) error {
 // shape, so a truncated or foreign file fails loudly instead of
 // diffing as "everything regressed".
 func ReadJSON(r io.Reader) (*Report, error) {
+	// The report's own types, except that each detector result also
+	// knows the three pipeline keys a v4 report may carry, so exactly
+	// those are read and dropped and any other unknown key is an error.
+	var in struct {
+		Report
+		Programs []*struct {
+			ProgramResult
+			Detectors map[string]*struct {
+				DetectorResult
+				Chunks   uint64 `json:"pipeline_chunks"`
+				MaxDepth int    `json:"pipeline_max_depth"`
+				StallNS  int64  `json:"pipeline_stall_ns"`
+			} `json:"detectors"`
+		} `json:"programs"`
+	}
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	var rep Report
-	if err := dec.Decode(&rep); err != nil {
+	if err := dec.Decode(&in); err != nil {
 		return nil, fmt.Errorf("report: %w", err)
 	}
+	rep := in.Report
 	if rep.Version < minReadVersion || rep.Version > ReportVersion {
 		return nil, fmt.Errorf("report: schema version %d, this build reads %d..%d", rep.Version, minReadVersion, ReportVersion)
 	}
-	for i, p := range rep.Programs {
+	if in.Programs != nil {
+		rep.Programs = make([]*ProgramResult, 0, len(in.Programs))
+	}
+	for i, p := range in.Programs {
 		if p == nil || p.Name == "" {
 			return nil, fmt.Errorf("report: program %d has no name", i)
 		}
 		if p.Detectors == nil {
 			return nil, fmt.Errorf("report: program %s has no detector results", p.Name)
 		}
+		res := p.ProgramResult
+		res.Detectors = make(map[string]*DetectorResult, len(p.Detectors))
+		for name, d := range p.Detectors {
+			var dr *DetectorResult
+			if d != nil {
+				dr = &d.DetectorResult
+			}
+			res.Detectors[name] = dr
+		}
+		rep.Programs = append(rep.Programs, &res)
 	}
 	return &rep, nil
 }

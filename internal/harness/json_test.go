@@ -112,6 +112,7 @@ func TestReadJSONRejectsBadReports(t *testing.T) {
 		{"pre-history version", strings.Replace(string(good), fmt.Sprintf(`"version":%d`, ReportVersion), fmt.Sprintf(`"version":%d`, minReadVersion-1), 1), "schema version"},
 		{"truncated", string(good[:len(good)/2]), "report"},
 		{"unknown field", `{"version":1,"programs":[],"bogus":3}`, "bogus"},
+		{"unknown detector field", strings.Replace(string(good), `"time_ns":`, `"bogus_ns":1,"time_ns":`, 1), "bogus_ns"},
 		{"nameless program", `{"version":1,"run":{"scale_n":1,"scale_t":2,"seed":7,"trials":2,"parallel":1,"max_steps":0},"programs":[{"suite":"x"}]}`, "no name"},
 	}
 	for _, c := range cases {
@@ -121,35 +122,53 @@ func TestReadJSONRejectsBadReports(t *testing.T) {
 	}
 }
 
-// TestReadJSONAcceptsV1Reports: the v2 schema is purely additive
-// (race_reports), so a v1 file — the committed BENCH_*.json trajectory
-// before the bump — still reads, renders, and self-diffs cleanly.
+// TestReadJSONAcceptsV1Reports: older schemas still read, render, and
+// self-diff cleanly.  A v4 file carries the three pipeline keys that v5
+// dropped; a v1 file — the committed BENCH_*.json trajectory before v2
+// — has no race_reports.
 func TestReadJSONAcceptsV1Reports(t *testing.T) {
 	rep := reportAt(t, 1)
+	stamp := func(in []byte, version int) string {
+		return strings.Replace(string(in), fmt.Sprintf(`"version":%d`, ReportVersion), fmt.Sprintf(`"version":%d`, version), 1)
+	}
+	check := func(in string, version int) {
+		t.Helper()
+		got, err := ReadJSON(strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("v%d report rejected: %v", version, err)
+		}
+		if got.Version != version {
+			t.Fatalf("version = %d, want %d", got.Version, version)
+		}
+		if want := renderAll(rep); renderAll(got) != want {
+			t.Errorf("v%d report renders differently from its source", version)
+		}
+		if regs := Diff(rep, got, 0); len(regs) != 0 {
+			t.Errorf("v%d self-diff: %v", version, regs)
+		}
+	}
+
+	buf, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v4 := stamp(bytes.ReplaceAll(buf, []byte(`"time_ns":`),
+		[]byte(`"pipeline_chunks":3,"pipeline_max_depth":2,"pipeline_stall_ns":1500,"time_ns":`)), 4)
+	if n, want := strings.Count(v4, `"pipeline_chunks"`), 3*len(DetectorNames); n != want {
+		t.Fatalf("v4 fixture carries %d pipeline_chunks keys, want %d", n, want)
+	}
+	check(v4, 4)
+
 	// Rewrite as a v1 report: drop the v2-only field and stamp version 1.
 	for _, p := range rep.Programs {
 		for _, d := range p.Detectors {
 			d.RaceReports = nil
 		}
 	}
-	buf, err := json.Marshal(rep)
-	if err != nil {
+	if buf, err = json.Marshal(rep); err != nil {
 		t.Fatal(err)
 	}
-	v1 := strings.Replace(string(buf), fmt.Sprintf(`"version":%d`, ReportVersion), `"version":1`, 1)
-	got, err := ReadJSON(strings.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 report rejected: %v", err)
-	}
-	if got.Version != 1 {
-		t.Fatalf("version = %d, want 1", got.Version)
-	}
-	if want := renderAll(rep); renderAll(got) != want {
-		t.Error("v1 report renders differently from its v2 source")
-	}
-	if regs := Diff(rep, got, 0); len(regs) != 0 {
-		t.Errorf("v1/v2 self-diff: %v", regs)
-	}
+	check(stamp(buf, 1), 1)
 }
 
 // TestDiffFlagsRegressions: Diff reports exactly the cells that got

@@ -125,7 +125,8 @@ func orderPrograms(groups map[string]*replayGroup) []string {
 	return names
 }
 
-// assembleReplay mirrors programState.finalize over replayed outcomes.
+// assembleReplay builds one program's result from its replayed
+// outcomes, through the same addOutcome a live run's finalize uses.
 func assembleReplay(prog string, g *replayGroup) (*ProgramResult, error) {
 	if g.base == nil {
 		return nil, fmt.Errorf("replay %s: missing base trace (record with the harness's TraceDir so overhead denominators are available)", prog)
@@ -136,44 +137,13 @@ func assembleReplay(prog string, g *replayGroup) (*ProgramResult, error) {
 		Suite:           hdr.Suite,
 		MethodsAnalyzed: hdr.Bodies,
 		ChecksInserted:  hdr.Placed,
-		BaseTime:        g.base.Outcome.Duration,
-		BaseSteps:       g.base.Outcome.Counters.Steps,
-		Accesses:        g.base.Outcome.Counters.Accesses(),
-		BaseWords:       g.base.Outcome.Counters.BaseWords,
 		Detectors:       map[string]*DetectorResult{},
 	}
+	res.addOutcome(engine.BaseVariant, g.base.Outcome, g.base.Outcome.Duration)
 	for _, name := range DetectorNames {
-		rp := g.variants[name]
-		if rp == nil {
-			continue
-		}
-		out := rp.Outcome
-		dc := out.Counters
-		dt := out.Duration
-		res.Phases.Run += dt
-		dr := &DetectorResult{
-			Name:         name,
-			Time:         dt,
-			Overhead:     modelOverhead(dc.CheckItems, out.ShadowOps, out.FootprintOps, dc.SyncOps, res.BaseSteps),
-			WallOverhead: overhead(dt, res.BaseTime),
-			CheckRatio:   ratio(dc.CheckItems, res.Accesses),
-			Checks:       dc.CheckItems,
-			ShadowOps:    out.ShadowOps,
-			FootprintOps: out.FootprintOps,
-			SyncOps:      dc.SyncOps,
-			PeakWords:    out.PeakWords,
-			SpaceOverX:   ratio(out.PeakWords, res.BaseWords),
-			Races:        len(out.Races),
-			ArrayModes:   out.ArrayModes,
-			RaceReports:  raceReports(out.Races),
-			EventsPerSec: eventsPerSec(rp.Events, dt),
-		}
-		res.Detectors[name] = dr
-		switch name {
-		case "FT":
-			res.FTFieldChecks, res.FTArrayChecks = out.FieldChecks, out.ArrayChecks
-		case "BF":
-			res.BFFieldChecks, res.BFArrayChecks = out.FieldChecks, out.ArrayChecks
+		if rp := g.variants[name]; rp != nil {
+			res.Phases.Run += rp.Outcome.Duration
+			res.addOutcome(name, rp.Outcome, rp.Outcome.Duration)
 		}
 	}
 	return res, nil

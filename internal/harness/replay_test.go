@@ -83,16 +83,3 @@ func TestReplayDirMissingBase(t *testing.T) {
 		t.Errorf("err = %v, want missing-base-trace error", err)
 	}
 }
-
-// TestPipelineSignatureUnchanged: the asynchronous detection pipeline
-// must not perturb any deterministic report field — the Signature with
-// the pipeline on (tiny chunks, maximal interleaving) equals the
-// synchronous one.
-func TestPipelineSignatureUnchanged(t *testing.T) {
-	scale := workloads.Scale{N: 1, T: 2}
-	sync := runPrograms(t, Options{Scale: scale, Seed: 7, Trials: 1}, "crypt", "tomcat")
-	async := runPrograms(t, Options{Scale: scale, Seed: 7, Trials: 1, Pipeline: 16}, "crypt", "tomcat")
-	if got, want := async.Signature(), sync.Signature(); got != want {
-		t.Errorf("piped signature differs from synchronous:\nsync:\n%s\npiped:\n%s", want, got)
-	}
-}

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"testing"
 
 	"bigfoot/internal/engine"
@@ -33,7 +32,7 @@ func runProgramsOn(t *testing.T, r *Runner, names ...string) *Report {
 // changes no deterministic result — the Signature is byte-identical to
 // an unmetered run — while the registry really does record the runs.
 func TestMetricsNeutralSignature(t *testing.T) {
-	opts := Options{Scale: workloads.Scale{N: 1, T: 2}, Seed: 7, Trials: 1, Pipeline: 16}
+	opts := Options{Scale: workloads.Scale{N: 1, T: 2}, Seed: 7, Trials: 1}
 	bare := runPrograms(t, opts, "crypt", "tomcat")
 
 	reg := metrics.NewRegistry()
@@ -47,63 +46,16 @@ func TestMetricsNeutralSignature(t *testing.T) {
 	}
 
 	// The neutrality must not be vacuous: the registry saw the traffic.
-	var runs, pipeEvents float64
+	var runs float64
 	for _, f := range reg.Snapshot() {
-		switch f.Name {
-		case "bigfoot_engine_runs_total":
+		if f.Name == "bigfoot_engine_runs_total" {
 			for _, s := range f.Series {
 				runs += s.Value
-			}
-		case "bigfoot_pipeline_events_total":
-			for _, s := range f.Series {
-				pipeEvents += s.Value
 			}
 		}
 	}
 	// 2 programs x (base + 5 detectors), one trial each.
 	if runs != 12 {
 		t.Errorf("registry recorded %v runs, want 12", runs)
-	}
-	if pipeEvents == 0 {
-		t.Error("piped run recorded no pipeline events")
-	}
-}
-
-// TestReportPipelineFields: a piped run surfaces the transport cost in
-// the schema-v4 DetectorResult fields, a synchronous run leaves them
-// zero, and the fields survive a JSON round trip.
-func TestReportPipelineFields(t *testing.T) {
-	opts := Options{Scale: workloads.Scale{N: 1, T: 2}, Seed: 7, Trials: 2}
-	syncRep := runPrograms(t, opts, "crypt")
-	piped := runPrograms(t, Options{Scale: opts.Scale, Seed: 7, Trials: 2, Pipeline: 16}, "crypt")
-
-	for _, dr := range syncRep.Programs[0].Detectors {
-		if dr.PipelineChunks != 0 || dr.PipelineMaxDepth != 0 || dr.PipelineStallNS != 0 {
-			t.Errorf("synchronous run carries pipeline fields: %s chunks=%d depth=%d stall=%d",
-				dr.Name, dr.PipelineChunks, dr.PipelineMaxDepth, dr.PipelineStallNS)
-		}
-	}
-	for _, dr := range piped.Programs[0].Detectors {
-		if dr.PipelineChunks == 0 {
-			t.Errorf("%s: piped run reports no chunks", dr.Name)
-		}
-		if dr.PipelineMaxDepth < 1 {
-			t.Errorf("%s: piped queue depth %d, want >= 1", dr.Name, dr.PipelineMaxDepth)
-		}
-	}
-
-	var buf bytes.Buffer
-	if err := piped.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, dr := range piped.Programs[0].Detectors {
-		rt := got.Programs[0].Detectors[name]
-		if rt.PipelineChunks != dr.PipelineChunks {
-			t.Errorf("%s: chunks %d after round trip, want %d", name, rt.PipelineChunks, dr.PipelineChunks)
-		}
 	}
 }

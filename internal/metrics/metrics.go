@@ -4,8 +4,8 @@
 // with Prometheus text-format exposition (expose.go) and a structured
 // snapshot API for tests and JSON export.
 //
-// The package exists so every layer of the system (engine, trace
-// pipeline, service) meters itself through one vocabulary instead of
+// The package exists so every layer of the system (engine, cache,
+// service) meters itself through one vocabulary instead of
 // growing bespoke stat structs, while keeping the repository's
 // determinism contract intact.  The rule, enforced by convention and
 // pinned by tests in the instrumented packages: instruments are only
@@ -88,20 +88,6 @@ func (g *Gauge) Inc() { g.Add(1) }
 
 // Dec subtracts one.
 func (g *Gauge) Dec() { g.Add(-1) }
-
-// SetMax raises the gauge to v if v exceeds the current value — a
-// high-water mark.
-func (g *Gauge) SetMax(v float64) {
-	for {
-		old := g.bits.Load()
-		if v <= math.Float64frombits(old) {
-			return
-		}
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }

@@ -36,14 +36,6 @@ func TestGauge(t *testing.T) {
 	if got := g.Value(); got != 9.5 {
 		t.Errorf("gauge = %v, want 9.5", got)
 	}
-	g.SetMax(5)
-	if got := g.Value(); got != 9.5 {
-		t.Errorf("SetMax lowered the gauge to %v", got)
-	}
-	g.SetMax(11)
-	if got := g.Value(); got != 11 {
-		t.Errorf("SetMax = %v, want 11", got)
-	}
 }
 
 func TestHistogram(t *testing.T) {

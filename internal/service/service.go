@@ -118,11 +118,6 @@ type Config struct {
 	// subdirectory name in the X-Bigfoot-Trace header so clients can
 	// locate their run's traces for offline replay.
 	TraceDir string
-	// Pipeline, when non-zero, runs every session's detection behind the
-	// asynchronous chunked pipeline (this many events per chunk;
-	// negative = default size).  Signatures are identical either way;
-	// the streaming cost shows up in /v1/stats and /metrics.
-	Pipeline int
 	// Metrics receives the service's HTTP instruments and (when Engine
 	// is nil) the internally-constructed engine's instruments; the same
 	// registry is served at GET /metrics.  nil disables exposition but
@@ -166,12 +161,11 @@ type ErrorResponse struct {
 
 // Stats is the body of GET /v1/stats.
 type Stats struct {
-	UptimeSeconds float64               `json:"uptime_seconds"`
-	Draining      bool                  `json:"draining"`
-	Build         BuildInfo             `json:"build"`
-	Cache         engine.CacheStats     `json:"cache"`
-	Sessions      SessionStats          `json:"sessions"`
-	Pipeline      engine.PipelineTotals `json:"pipeline"`
+	UptimeSeconds float64           `json:"uptime_seconds"`
+	Draining      bool              `json:"draining"`
+	Build         BuildInfo         `json:"build"`
+	Cache         engine.CacheStats `json:"cache"`
+	Sessions      SessionStats      `json:"sessions"`
 }
 
 // Version is the body of GET /v1/version.
@@ -383,7 +377,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Draining:      s.gate.isDraining(),
 		Build:         s.build,
-		Pipeline:      s.eng.PipelineTotals(),
 	}
 	if c := s.eng.Cache(); c != nil {
 		st.Cache = c.Stats()
@@ -493,7 +486,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		Parallel:  1, // sessions are the unit of concurrency, not trials
 		MaxSteps:  min(orDefault(req.MaxSteps, s.cfg.MaxSteps), s.cfg.MaxSteps),
 		Detectors: names,
-		Pipeline:  s.cfg.Pipeline,
 	}
 
 	// Traced runs get a per-request directory named by content hash and

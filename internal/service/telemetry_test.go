@@ -146,9 +146,9 @@ func TestVersionEndpoint(t *testing.T) {
 }
 
 // TestStatsTelemetry: /v1/stats reports uptime, build identity, drain
-// state, and — for a piped server — moving pipeline totals.
+// state, and the session just completed.
 func TestStatsTelemetry(t *testing.T) {
-	_, ts := newTestServer(t, Config{Pipeline: 64})
+	_, ts := newTestServer(t, Config{})
 	postRun(t, ts.URL, RunRequest{Program: clean, Detectors: []string{"BF"}})
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
@@ -168,8 +168,8 @@ func TestStatsTelemetry(t *testing.T) {
 	if st.Draining {
 		t.Error("fresh server reports draining")
 	}
-	if st.Pipeline.Events == 0 || st.Pipeline.Chunks == 0 {
-		t.Errorf("piped server shows no pipeline totals: %+v", st.Pipeline)
+	if st.Sessions.Completed != 1 {
+		t.Errorf("completed sessions = %d, want 1", st.Sessions.Completed)
 	}
 }
 

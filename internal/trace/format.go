@@ -96,8 +96,25 @@ type Footer struct {
 	Err string `json:"err,omitempty"`
 }
 
-// Event head-byte layout: opcode (pipeline.go's op* constants) in the
-// low 5 bits plus two flags.
+// Event opcodes, one per interp.Hook callback.
+const (
+	opFork byte = iota
+	opThreadEnd
+	opJoin
+	opAcquire
+	opRelease
+	opVolRead
+	opVolWrite
+	opReadField
+	opWriteField
+	opReadIndex
+	opWriteIndex
+	opCheckField
+	opCheckRange
+	opFinish
+)
+
+// Event head-byte layout: opcode in the low 5 bits plus two flags.
 const (
 	opMask         byte = 0x1f
 	flagWrite      byte = 0x20
