@@ -62,7 +62,7 @@ func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = harness.Figure2(rs)
 	}
-	for _, det := range harness.DetectorNames {
+	for _, det := range engine.VariantNames {
 		b.ReportMetric(geoOverhead(rs, det), det+"-overhead-x")
 	}
 }

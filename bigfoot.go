@@ -349,7 +349,7 @@ func reportOf(out *engine.Outcome) *Report {
 // report plus the variant name from the trace header ("FT".."BF", or
 // "base" for an uninstrumented recording, which yields counters only).
 func ReplayTrace(r io.Reader) (*Report, string, error) {
-	res, err := engine.Replay(r, engine.ReplaySpec{})
+	res, err := engine.Replay(r)
 	if err != nil {
 		return nil, "", err
 	}

@@ -7,16 +7,11 @@ import (
 	"time"
 )
 
-// Heartbeat cadences.  Long campaigns (a -scale sweep where one
-// workload runs for minutes, or a -fuzz shard grinding through a big
-// program) can otherwise go silent long enough that an operator cannot
-// tell a live run from a hung one.  The fuzz interval is tighter
-// because fuzz progress prints are themselves sparse (every 10 checked
-// programs).
-const (
-	evalHeartbeatEvery = 15 * time.Second
-	fuzzHeartbeatEvery = 10 * time.Second
-)
+// evalHeartbeatEvery is the heartbeat cadence.  A long evaluation (a
+// -scale sweep where one workload runs for minutes) can otherwise go
+// silent long enough that an operator cannot tell a live run from a
+// hung one.
+const evalHeartbeatEvery = 15 * time.Second
 
 // startHeartbeat periodically writes status() to stderr until the
 // returned stop function is called.  stop waits for the reporter

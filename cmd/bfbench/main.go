@@ -7,13 +7,10 @@
 //	bfbench [-figure2] [-figure8] [-table1] [-table2] [-all]
 //	        [-scale N] [-threads T] [-trials K] [-seed S] [-program name]
 //	        [-parallel N] [-timeout D] [-explain-races]
-//	        [-trace-rec dir] [-signature path]
-//	        [-json path] [-diff old.json] [-diff-ignore m1,m2] [-tolerance F]
-//	        [-json-check path]
+//	        [-trace-rec dir] [-signature path] [-json path]
 //	        [-cpuprofile f] [-memprofile f] [-trace f] [-metrics-out f]
 //	bfbench -trace-replay dir [-signature path] [-json path] ...
-//	bfbench -fuzz [-fuzz-seeds N] [-fuzz-sched K] [-fuzz-out f] [-seed S]
-//	        [-shard i/n] [-no-fast-paths] [-q]
+//	bfbench -json-check path [-signature path]
 //
 // -trace-rec records trial 0 of every configuration into dir as
 // compressed .bftrace files; -trace-replay re-analyzes such a directory
@@ -22,19 +19,6 @@
 // deterministic signature to a file, so live and replayed runs can be
 // compared byte-for-byte (the CI trace-replay job does exactly that).
 //
-// -fuzz runs a differential-fuzz campaign instead of the evaluation:
-// N generated programs (bfgen, seeded from -seed) each swept over K
-// scheduler seeds under all five detectors against the oracle, plus
-// the metamorphic race-freedom oracles.  The first disagreement is
-// shrunk to a minimal repro written to -fuzz-out, and the run exits 1.
-// -shard i/n deterministically partitions the program space so n hosts
-// running the same -seed split one campaign: host i checks programs
-// with index ≡ i (mod n); the shards are disjoint and exhaustive.
-// -no-fast-paths flips the detectors' epoch-level fast paths off for
-// the campaign's primary runs — the fast-path differential cross-check
-// inside every sweep still compares both settings, so a fast-path bug
-// is caught either way; the flag only changes which side is primary.
-//
 // Without a selection flag, -all is assumed.  -parallel bounds the
 // evaluation worker pool (0 = GOMAXPROCS); results are identical at any
 // worker count.  -timeout cancels the run, rendering whatever completed.
@@ -42,24 +26,22 @@
 // -metrics-out dumps the run's metrics registry (engine latencies,
 // cache traffic, detector work counters) in the Prometheus text
 // exposition format at exit — the batch-tool equivalent of scraping
-// bigfootd's GET /metrics ("-" writes to stderr).  Unless -q is set,
-// long evaluation and fuzz campaigns also print a periodic stderr
-// heartbeat (programs done, elapsed time, current shard) so a
-// minutes-long run is distinguishable from a hang.
+// bigfootd's GET /metrics ("-" writes to stderr).  Unless -q is set, a
+// long evaluation also prints a periodic stderr heartbeat (programs
+// done, elapsed time) so a minutes-long run is distinguishable from a
+// hang.
 //
 // -json writes the structured, versioned report (the same data the text
-// tables render — see harness.Report) for committing as BENCH_*.json.
-// -diff loads a previous report and flags deterministic metrics that
-// regressed beyond -tolerance; -diff-ignore excludes named metrics from
-// the comparison (for intentional semantic changes such as the
-// sampled→exact PeakWords fix).  -json-check validates an existing
-// report file (schema version, shape, renderability) and exits without
-// running any workload.
+// tables render — see harness.Report).  -json-check validates an
+// existing report file (schema version, shape, renderability) and exits
+// without running any workload; with -signature it also writes that
+// report's signature, so a stored report is compared with a fresh run
+// by diffing the two signature files.
 //
 // Exit codes: 0 clean; 1 workload failures or timeout cancellation
 // (partial tables/JSON are still emitted); 2 usage errors; 3 report
-// I/O or validation failures; 4 regressions found by -diff.  A
-// truncated sweep therefore never exits 0.
+// I/O or validation failures.  A truncated sweep therefore never exits
+// 0.
 package main
 
 import (
@@ -67,7 +49,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -98,17 +79,8 @@ func run() int {
 		timeout   = flag.Duration("timeout", 0, "cancel the run after this duration (0 = none)")
 		quiet     = flag.Bool("q", false, "suppress progress lines")
 		jsonOut   = flag.String("json", "", "write the structured JSON report to this file")
-		diffOld   = flag.String("diff", "", "compare this run against a previous -json report")
-		diffSkip  = flag.String("diff-ignore", "", "comma-separated metric names excluded from -diff (e.g. peak_words,space_over_base)")
-		tolerance = flag.Float64("tolerance", harness.DefaultDiffTolerance, "relative slack for -diff regressions")
-		jsonCheck = flag.String("json-check", "", "validate an existing JSON report and exit (no run)")
+		jsonCheck = flag.String("json-check", "", "validate an existing JSON report and exit (no run); with -signature, write its signature")
 		explain   = flag.Bool("explain-races", false, "print per-detector race provenance (both access sites)")
-		fuzz      = flag.Bool("fuzz", false, "run a differential-fuzz campaign instead of the evaluation")
-		fuzzSeeds = flag.Int("fuzz-seeds", 100, "generated programs per -fuzz campaign")
-		fuzzSched = flag.Int("fuzz-sched", 3, "scheduler seeds swept per generated program")
-		fuzzOut   = flag.String("fuzz-out", "fuzz-repro.bfj", "write the shrunk repro of a -fuzz disagreement here")
-		fuzzShard = flag.String("shard", "", "check only shard i/n of the -fuzz program space (deterministic partition; all hosts use the same -seed)")
-		noFast    = flag.Bool("no-fast-paths", false, "disable the detectors' epoch-level fast paths during -fuzz (the fast-path differential cross-check still runs both ways)")
 		traceRec  = flag.String("trace-rec", "", "record trial 0 of every configuration as compressed traces into this directory")
 		traceRep  = flag.String("trace-replay", "", "replay a -trace-rec directory offline instead of running workloads")
 		sigOut    = flag.String("signature", "", "write the report's deterministic signature to this file")
@@ -124,25 +96,6 @@ func run() int {
 		*all = true
 	}
 
-	if *fuzz {
-		if *fuzzSeeds < 1 || *fuzzSched < 1 {
-			fmt.Fprintln(os.Stderr, "bfbench: -fuzz-seeds and -fuzz-sched must be >= 1")
-			return 2
-		}
-		sh, err := parseShard(*fuzzShard)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bfbench: %v\n", err)
-			return 2
-		}
-		return runFuzz(*seed, *fuzzSeeds, *fuzzSched, *fuzzOut, *quiet, sh, *noFast)
-	} else if *fuzzShard != "" {
-		fmt.Fprintln(os.Stderr, "bfbench: -shard requires -fuzz")
-		return 2
-	} else if *noFast {
-		fmt.Fprintln(os.Stderr, "bfbench: -no-fast-paths requires -fuzz")
-		return 2
-	}
-
 	if *jsonCheck != "" {
 		rep, err := harness.ReadJSONFile(*jsonCheck)
 		if err != nil {
@@ -150,11 +103,10 @@ func run() int {
 			return 3
 		}
 		// A valid report must also render: exercise every view so a
-		// committed BENCH_*.json is known-good for later comparisons.
+		// committed report is known-good for later comparisons.
 		_ = rep.Summary()
-		if regs := harness.Diff(rep, rep, *tolerance); len(regs) != 0 {
-			fmt.Fprintf(os.Stderr, "bfbench: self-diff of %s not empty: %v\n", *jsonCheck, regs)
-			return 3
+		if code := writeSignature(rep, *sigOut); code != 0 {
+			return code
 		}
 		fmt.Printf("%s: valid report (version %d, %d programs)\n", *jsonCheck, rep.Version, len(rep.Programs))
 		return 0
@@ -275,11 +227,8 @@ func run() int {
 		}
 	}
 
-	if *sigOut != "" {
-		if err := os.WriteFile(*sigOut, []byte(rep.Signature()), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "bfbench: write %s: %v\n", *sigOut, err)
-			return 3
-		}
+	if code := writeSignature(rep, *sigOut); code != 0 {
+		return code
 	}
 	if *jsonOut != "" {
 		if err := rep.WriteJSONFile(*jsonOut); err != nil {
@@ -287,26 +236,20 @@ func run() int {
 			return 3
 		}
 	}
-	if *diffOld != "" {
-		old, err := harness.ReadJSONFile(*diffOld)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bfbench: %v\n", err)
-			return 3
-		}
-		var ignore []string
-		if *diffSkip != "" {
-			ignore = strings.Split(*diffSkip, ",")
-		}
-		regs := harness.DiffIgnoring(old, rep, *tolerance, ignore...)
-		for _, g := range regs {
-			fmt.Fprintf(os.Stderr, "regression: %s\n", g)
-		}
-		if len(regs) > 0 {
-			return 4
-		}
-		fmt.Fprintf(os.Stderr, "no regressions vs %s (tolerance %g)\n", *diffOld, *tolerance)
-	}
 	return code
+}
+
+// writeSignature writes rep's deterministic signature to path (nothing
+// when path is empty) and returns the exit code: 0, or 3 on I/O failure.
+func writeSignature(rep *harness.Report, path string) int {
+	if path == "" {
+		return 0
+	}
+	if err := os.WriteFile(path, []byte(rep.Signature()), 0o644); err != nil {
+		fmt.Fprintf(os.Stderr, "bfbench: write %s: %v\n", path, err)
+		return 3
+	}
+	return 0
 }
 
 // explainRaces prints the provenance-enriched race reports (schema v2)
@@ -318,7 +261,7 @@ func run() int {
 // synthetic file name <program>.bfj.
 func explainRaces(rep *harness.Report) {
 	for _, p := range rep.Programs {
-		for _, name := range harness.DetectorNames {
+		for _, name := range engine.VariantNames {
 			dr := p.Detectors[name]
 			if dr == nil {
 				continue

@@ -6,6 +6,7 @@ import (
 	"bigfoot/internal/bfj"
 	"bigfoot/internal/instrument"
 	"bigfoot/internal/interp"
+	"bigfoot/internal/trace"
 )
 
 // This file pins the sampled→exact census fix: the pre-fix detector
@@ -46,7 +47,7 @@ func (s *oldCensusSampler) walk() {
 }
 
 // The sampler must run after the detector's handling of the same event
-// (MultiHook order), mirroring the old census call at the end of sync.
+// (trace.Tee order), mirroring the old census call at the end of sync.
 func (s *oldCensusSampler) Fork(parent, child int)                     { s.sample() }
 func (s *oldCensusSampler) ThreadEnd(t int)                            { s.sample() }
 func (s *oldCensusSampler) Join(parent, child int)                     { s.sample() }
@@ -87,7 +88,7 @@ setup {
 	prog, _ := instrument.EveryAccess(bfj.MustParse(src))
 	d := New(Config{Name: "FT", DebugCensus: true})
 	s := &oldCensusSampler{d: d}
-	if _, err := interp.Run(prog, MultiHook{d, s}, interp.Options{Seed: 0}); err != nil {
+	if _, err := interp.Run(prog, trace.Tee(d, s), interp.Options{Seed: 0}); err != nil {
 		t.Fatal(err)
 	}
 	if d.RaceCount() != 0 {

@@ -12,7 +12,10 @@
 //     than FastTrack, all variants observe the same number of heap
 //     accesses and synchronization operations (schedule-insensitive
 //     programs only), footprint counters are zero for non-footprint
-//     detectors, and peak shadow memory dominates the final census.
+//     detectors, and peak shadow memory dominates the final census;
+//   - fast-path neutrality (Options.CompareFastPaths): each run repeated
+//     with the epoch-level fast paths off passes the counter checks
+//     and reports the same races and deterministic counters.
 //
 // The harness also checks metamorphic properties of generated programs
 // (see CheckMetamorphic) and shrinks failing programs to minimal
@@ -22,42 +25,13 @@ package difftest
 import (
 	"fmt"
 
-	"bigfoot/internal/analysis"
 	"bigfoot/internal/bfgen"
 	"bigfoot/internal/bfj"
 	"bigfoot/internal/detector"
-	"bigfoot/internal/instrument"
+	"bigfoot/internal/engine"
 	"bigfoot/internal/interp"
-	"bigfoot/internal/proxy"
+	"bigfoot/internal/trace"
 )
-
-// DetectorNames lists the compared detectors in Figure 2 order.
-var DetectorNames = []string{"FT", "RC", "SS", "SC", "BF"}
-
-// Variant pairs one instrumented program with its detector
-// configuration.
-type Variant struct {
-	Name string
-	Prog *bfj.Program
-	Cfg  detector.Config
-}
-
-// Variants instruments base for all five detectors.  The base program
-// is not mutated (each instrumentation pass clones it).
-func Variants(base *bfj.Program) []Variant {
-	every, _ := instrument.EveryAccess(base)
-	red, _ := instrument.RedCard(base)
-	big := analysis.New(base, analysis.DefaultOptions()).Instrument()
-	redProx := proxy.Analyze(red)
-	bigProx := proxy.Analyze(big)
-	return []Variant{
-		{"FT", every, detector.Config{Name: "FT"}},
-		{"RC", red, detector.Config{Name: "RC", Proxies: redProx}},
-		{"SS", every, detector.Config{Name: "SS", Footprints: true}},
-		{"SC", red, detector.Config{Name: "SC", Footprints: true, Proxies: redProx}},
-		{"BF", big, detector.Config{Name: "BF", Footprints: true, Proxies: bigProx}},
-	}
-}
 
 // Disagreement describes one differential-testing failure: which
 // detector, on which schedule, violated which property.
@@ -85,17 +59,14 @@ type Options struct {
 	CheckCounts bool
 	// MaxSteps bounds each execution (0 = interpreter default).
 	MaxSteps uint64
-	// DisableFastPaths runs every detector with the epoch-level fast
-	// paths off (detector.Config.DisableFastPaths), so a sweep can
-	// exercise the pure vector-clock protocol end to end.
-	DisableFastPaths bool
 	// CompareFastPaths additionally re-runs each (variant, seed) pair
-	// with the fast-path setting inverted and asserts the two runs are
-	// observationally identical: same sorted race set and same
-	// deterministic cost counters (shadow/footprint/sync ops,
-	// refinements).  Space columns are exempt — adaptive demotion is
-	// allowed to shrink them.  A divergence is reported as a
-	// Disagreement of Kind "fastpath".
+	// with the epoch-level fast paths off
+	// (detector.Config.DisableFastPaths), checks that run's counters
+	// too, and asserts the two runs are observationally identical: same
+	// sorted race set and same deterministic cost counters
+	// (shadow/footprint/sync ops, refinements).  Space columns are
+	// exempt — adaptive demotion is allowed to shrink them.  A
+	// divergence is reported as a Disagreement of Kind "fastpath".
 	CompareFastPaths bool
 	// Fault, when non-nil, mutates each variant's detector configuration
 	// before the run — the fault-injection hook used to prove broken
@@ -123,34 +94,32 @@ func CheckSource(src string, opts Options) (*Disagreement, error) {
 	return CheckProgram(base, opts)
 }
 
-// CheckProgram differentially tests an already-parsed program.
+// CheckProgram differentially tests an already-parsed program.  It
+// builds the five variants exactly as engine.Run's callers do
+// (engine.BuildAST), so the harness checks the configurations the
+// system runs.
 func CheckProgram(base *bfj.Program, opts Options) (*Disagreement, error) {
-	vs := Variants(base)
-	compiled := make([]*interp.Compiled, len(vs))
-	for i, v := range vs {
-		c, err := interp.Compile(v.Prog)
-		if err != nil {
-			return nil, fmt.Errorf("%s: compile: %w", v.Name, err)
-		}
-		compiled[i] = c
+	art, err := engine.New(engine.Options{}).BuildAST(base, engine.BuildSpec{})
+	if err != nil {
+		return nil, err
 	}
+	vs := art.Variants
 	for _, seed := range opts.seeds() {
 		var ftChecks, bfChecks uint64
 		var accesses, syncs []uint64
-		for i, v := range vs {
-			cfg := v.Cfg
+		for _, v := range vs {
 			// Every differential run cross-checks the incremental space
 			// census against a full shadow walk (panics loudly on any
 			// mismatch), so the sweep and the regress corpus double as the
 			// census-accounting validation suite.
-			cfg.DebugCensus = true
-			cfg.DisableFastPaths = opts.DisableFastPaths
+			cfg := detector.Config{Name: v.Name, Footprints: v.Footprints, Proxies: v.Proxies, DebugCensus: true}
 			if opts.Fault != nil {
 				opts.Fault(v.Name, &cfg)
 			}
 			d := detector.New(cfg)
 			o := detector.NewOracle()
-			cnt, err := compiled[i].Run(detector.MultiHook{d, o}, interp.Options{Seed: seed, MaxSteps: opts.MaxSteps})
+			run := interp.Options{Seed: seed, MaxSteps: opts.MaxSteps}
+			cnt, err := v.Compiled.Run(trace.Tee(d, o), run)
 			if err != nil {
 				return nil, fmt.Errorf("%s seed %d: run: %w", v.Name, seed, err)
 			}
@@ -161,11 +130,14 @@ func CheckProgram(base *bfj.Program, opts Options) (*Disagreement, error) {
 				return dis, nil
 			}
 			if opts.CompareFastPaths {
-				alt := cfg
-				alt.DisableFastPaths = !cfg.DisableFastPaths
-				d2 := detector.New(alt)
-				if _, err := compiled[i].Run(d2, interp.Options{Seed: seed, MaxSteps: opts.MaxSteps}); err != nil {
-					return nil, fmt.Errorf("%s seed %d: fast-path-inverted run: %w", v.Name, seed, err)
+				slow := cfg
+				slow.DisableFastPaths = true
+				d2 := detector.New(slow)
+				if _, err := v.Compiled.Run(d2, run); err != nil {
+					return nil, fmt.Errorf("%s seed %d: fast-paths-off run: %w", v.Name, seed, err)
+				}
+				if dis := checkCounters(v.Name, seed, slow, d2); dis != nil {
+					return dis, nil
 				}
 				if dis := compareFastPaths(v.Name, seed, d, d2); dis != nil {
 					return dis, nil

@@ -139,6 +139,42 @@ func TestShrinkRacyProgramToMinimal(t *testing.T) {
 	t.Logf("racy repro (%d statements):\n%s", totalStmts(min, t), min)
 }
 
+// TestShrinkReproMetamorphic: a metamorphic failure shrinks with
+// respect to the oracle race in the transformed program.  The program
+// here is racy and every detector agrees with the oracle on it, so a
+// detector-disagreement predicate would keep it whole; under a
+// synthetic metamorphic-locked disagreement, shrinkRepro must return a
+// smaller program that the oracle still finds racy on that schedule.
+func TestShrinkReproMetamorphic(t *testing.T) {
+	const seed = 0
+	oracleRacy := func(src string) bool {
+		prog, err := bfj.Parse(src)
+		if err != nil {
+			return false
+		}
+		o := detector.NewOracle()
+		_, err = interp.Run(prog, o, interp.Options{Seed: seed, MaxSteps: shrinkMaxSteps})
+		return err == nil && o.HasRaces()
+	}
+	var src string
+	for gs := int64(0); gs < 50 && src == ""; gs++ {
+		if g := bfgen.New(gs); oracleRacy(g.Source) {
+			src = g.Source
+		}
+	}
+	if src == "" {
+		t.Fatal("no racy program in 50 generator seeds")
+	}
+	dis := &Disagreement{Detector: "oracle", Seed: seed, Kind: "metamorphic-locked", Detail: "synthetic"}
+	min := shrinkRepro(src, dis)
+	if !oracleRacy(min) {
+		t.Fatalf("shrunk repro lost the oracle race:\n%s", min)
+	}
+	if before, after := totalStmts(src, t), totalStmts(min, t); after >= before {
+		t.Errorf("metamorphic repro not shrunk: %d -> %d statements", before, after)
+	}
+}
+
 // TestShrinkReturnsOriginalWhenPredicateFails: Shrink must not touch a
 // program that does not exhibit the failure.
 func TestShrinkReturnsOriginalWhenPredicateFails(t *testing.T) {

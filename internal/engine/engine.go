@@ -439,10 +439,6 @@ type RunSpec struct {
 	// DebugCensus cross-checks the incremental space census (slow;
 	// diagnostic only).
 	DebugCensus bool
-	// DisableFastPaths turns off the detector's epoch-level fast paths
-	// and adaptive read demotion (observationally neutral; diagnostic
-	// and A/B benchmarking only).
-	DisableFastPaths bool
 	// CountChecks tallies executed field vs. array check items into the
 	// outcome (the Figure 8 split).
 	CountChecks bool
@@ -479,9 +475,7 @@ type Outcome struct {
 	ArrayChecks uint64
 
 	// FastPaths counts the detector's epoch-level fast-path hits and
-	// adaptive read-metadata transitions (all zero when the run had
-	// DisableFastPaths set, except promotions, which FastTrack always
-	// performs).
+	// adaptive read-metadata transitions.
 	FastPaths detector.FastPathStats
 }
 
@@ -590,11 +584,10 @@ func (e *Engine) Run(ctx context.Context, v *Variant, spec RunSpec) (*Outcome, e
 		name = v.Name
 	}
 	d := detector.New(detector.Config{
-		Name:             name,
-		Footprints:       v.Footprints,
-		Proxies:          v.Proxies,
-		DebugCensus:      spec.DebugCensus,
-		DisableFastPaths: spec.DisableFastPaths,
+		Name:        name,
+		Footprints:  v.Footprints,
+		Proxies:     v.Proxies,
+		DebugCensus: spec.DebugCensus,
 	})
 	return e.run(ctx, v.Name, v.Compiled, d, v.Proxies, spec)
 }

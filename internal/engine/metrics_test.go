@@ -118,34 +118,6 @@ func TestEngineObservesRuns(t *testing.T) {
 	}
 }
 
-// TestRunSpecDisableFastPaths: the knob reaches the detector (no hits
-// are counted) without changing the run's findings.
-func TestRunSpecDisableFastPaths(t *testing.T) {
-	e := New(Options{})
-	art, _, err := e.BuildSource(racy, BuildSpec{Variants: []string{"FT"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := e.Run(context.Background(), art.Variant("FT"), RunSpec{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := e.Run(context.Background(), art.Variant("FT"), RunSpec{Seed: 3, DisableFastPaths: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.FastPaths.Total() == 0 {
-		t.Errorf("default run hit no fast paths: %+v", fast.FastPaths)
-	}
-	if n := slow.FastPaths.Total(); n != 0 {
-		t.Errorf("disabled run still counted %d fast-path hits: %+v", n, slow.FastPaths)
-	}
-	if len(fast.Races) != len(slow.Races) || fast.ShadowOps != slow.ShadowOps {
-		t.Errorf("knob changed observables: %d/%d races, %d/%d shadow ops",
-			len(fast.Races), len(slow.Races), fast.ShadowOps, slow.ShadowOps)
-	}
-}
-
 // TestEngineMetricsNeutral: attaching a registry must not change a
 // run's deterministic results — instruments are fed after the run, off
 // the hot path.

@@ -3,7 +3,6 @@ package engine
 import (
 	"bytes"
 	"context"
-	"errors"
 	"reflect"
 	"testing"
 )
@@ -34,7 +33,7 @@ func TestReplayReproducesLiveOutcome(t *testing.T) {
 	for _, v := range art.Variants {
 		for _, seed := range []int64{0, 7} {
 			buf, live := recordVariant(t, e, v, seed)
-			rep, err := Replay(bytes.NewReader(buf.Bytes()), ReplaySpec{CountChecks: true})
+			rep, err := Replay(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", v.Name, seed, err)
 			}
@@ -62,7 +61,7 @@ func TestReplayBaseTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Replay(bytes.NewReader(buf.Bytes()), ReplaySpec{})
+	rep, err := Replay(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,50 +77,6 @@ func TestReplayBaseTrace(t *testing.T) {
 	}
 }
 
-// TestReplayVariantOverride: a trace can be re-analyzed under the other
-// detector of its placement family (FT↔SS, RC↔SC); cross-family
-// requests, unknown variants, and detector requests on base traces are
-// usage errors.
-func TestReplayVariantOverride(t *testing.T) {
-	e, art := buildAll(t, racy)
-	ft := art.Variant("FT")
-	buf, _ := recordVariant(t, e, ft, 0)
-	traceBytes := buf.Bytes()
-
-	// Same family: FT trace replayed as SS runs the SS detector.
-	liveSS, err := e.Run(context.Background(), art.Variant("SS"), RunSpec{Seed: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Replay(bytes.NewReader(traceBytes), ReplaySpec{Variant: "SS"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Outcome.Variant != "SS" {
-		t.Errorf("outcome variant = %q, want SS", rep.Outcome.Variant)
-	}
-	if rep.Outcome.ShadowOps != liveSS.ShadowOps || rep.Outcome.PeakWords != liveSS.PeakWords {
-		t.Errorf("SS-over-FT-trace cost (%d,%d), want live SS (%d,%d)",
-			rep.Outcome.ShadowOps, rep.Outcome.PeakWords, liveSS.ShadowOps, liveSS.PeakWords)
-	}
-
-	var usage *UsageError
-	if _, err := Replay(bytes.NewReader(traceBytes), ReplaySpec{Variant: "BF"}); !errors.As(err, &usage) {
-		t.Errorf("cross-family override: err = %v, want UsageError", err)
-	}
-	if _, err := Replay(bytes.NewReader(traceBytes), ReplaySpec{Variant: "XX"}); !errors.As(err, &usage) {
-		t.Errorf("unknown variant: err = %v, want UsageError", err)
-	}
-
-	var base bytes.Buffer
-	if _, err := e.RunBase(context.Background(), art.Base, RunSpec{Seed: 0, Record: &base}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Replay(bytes.NewReader(base.Bytes()), ReplaySpec{Variant: "FT"}); !errors.As(err, &usage) {
-		t.Errorf("detector over base trace: err = %v, want UsageError", err)
-	}
-}
-
 // TestRecordFailedRun: budget-exhausted runs record a footer error; the
 // replay reports it via RunErr while still reproducing the partial
 // counters.
@@ -133,7 +88,7 @@ func TestRecordFailedRun(t *testing.T) {
 	if err == nil {
 		t.Fatal("spinner under 5000 steps succeeded; want step-limit error")
 	}
-	rep, rerr := Replay(bytes.NewReader(buf.Bytes()), ReplaySpec{})
+	rep, rerr := Replay(bytes.NewReader(buf.Bytes()))
 	if rerr != nil {
 		t.Fatal(rerr)
 	}

@@ -46,9 +46,6 @@ import (
 	"bigfoot/internal/workloads"
 )
 
-// DetectorNames lists the evaluated detectors in the paper's order.
-var DetectorNames = []string{"FT", "RC", "SS", "SC", "BF"}
-
 // Cost-model weights, in units of one interpreted statement.  Wall time
 // on an interpreter substrate understates checking cost relative to a
 // JVM (an interpreted statement costs ~100x a compiled heap access,
@@ -78,8 +75,8 @@ const (
 // RaceReport is one provenance-enriched race in the versioned report
 // (schema v2): both access sites with thread, access kind, and source
 // position ("line:col", empty when the constituent access carried no
-// position).  Race sets are deterministic for a given RunInfo, so they
-// participate in Signature-free diffs but not in the Signature itself.
+// position).  Race sets are deterministic for a given RunInfo; the
+// Signature carries their count, not the reports themselves.
 type RaceReport struct {
 	Desc      string `json:"desc"`
 	PrevTID   int    `json:"prev_tid"`
@@ -111,7 +108,7 @@ type DetectorResult struct {
 	// EventsPerSec is the macro detection throughput: hook events
 	// consumed (accesses + check items + sync ops) divided by Time.
 	// Wall-clock derived, so like Time/WallOverhead it is excluded from
-	// Signature and Diff.  For replayed reports (ReplayDir) Time is the
+	// Signature.  For replayed reports (ReplayDir) Time is the
 	// replay's own detection time — offline analysis throughput.
 	// Schema v3.
 	EventsPerSec float64 `json:"events_per_sec,omitempty"`

@@ -13,8 +13,8 @@ import (
 
 // ReportVersion identifies the JSON report schema.  It is bumped on any
 // change to the serialized field set or field names, so committed
-// BENCH_*.json trajectories stay comparable: Diff and ReadJSON reject a
-// report written by an unknown schema rather than misreading it.
+// reports stay readable: ReadJSON rejects a report written by an
+// unknown schema rather than misreading it.
 //
 // Version history:
 //
@@ -24,8 +24,8 @@ import (
 //	   readable (see minReadVersion); v2 readers see no race reports in
 //	   a v1 file.
 //	3: adds DetectorResult.EventsPerSec (macro detection throughput).
-//	   Additive and wall-clock derived (not diffed), so v1/v2 reports
-//	   remain readable and comparable.
+//	   Additive and wall-clock derived (outside Signature), so v1/v2
+//	   reports remain readable and comparable.
 //	4: adds pipeline_chunks, pipeline_max_depth and pipeline_stall_ns
 //	   to each detector result (transport cost of the asynchronous
 //	   detection pipeline; omitted for synchronous runs).
@@ -40,7 +40,7 @@ const ReportVersion = 5
 const minReadVersion = 1
 
 // RunInfo records the configuration a report was produced under, so two
-// reports can be checked for comparability before diffing.
+// reports' signatures are known to be comparable before diffing them.
 type RunInfo struct {
 	ScaleN   int    `json:"scale_n"`
 	ScaleT   int    `json:"scale_t"`
@@ -98,7 +98,7 @@ func (rep *Report) MarshalJSON() ([]byte, error) {
 }
 
 // WriteJSON writes the report as indented, trailing-newline JSON —
-// the stable on-disk form intended for committed BENCH_*.json files.
+// the stable on-disk form intended for committed report files.
 func (rep *Report) WriteJSON(w io.Writer) error {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -126,7 +126,7 @@ func (rep *Report) WriteJSONFile(path string) error {
 
 // ReadJSON parses a report and validates its schema version and basic
 // shape, so a truncated or foreign file fails loudly instead of
-// diffing as "everything regressed".
+// rendering as garbage.
 func ReadJSON(r io.Reader) (*Report, error) {
 	// The report's own types, except that each detector result also
 	// knows the three pipeline keys a v4 report may carry, so exactly

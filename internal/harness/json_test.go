@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"bigfoot/internal/engine"
 	"bigfoot/internal/workloads"
 )
 
@@ -42,10 +43,10 @@ func renderAll(rep *Report) string {
 	return rep.Figure2() + rep.Figure8() + rep.Table1() + rep.Table1Wall() + rep.Table2()
 }
 
-// TestReportJSONRoundTrip pins the tentpole contract: at any worker
+// TestReportJSONRoundTrip pins the report contract: at any worker
 // count, serializing a report and reading it back regenerates
-// byte-identical Figure 2/8 and Table 1/2 text, an identical
-// deterministic signature, and a zero-regression self-diff.
+// byte-identical Figure 2/8 and Table 1/2 text and an identical
+// deterministic signature.
 func TestReportJSONRoundTrip(t *testing.T) {
 	for _, par := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		rep := reportAt(t, par)
@@ -63,11 +64,8 @@ func TestReportJSONRoundTrip(t *testing.T) {
 		if got.Signature() != rep.Signature() {
 			t.Errorf("parallel %d: signature changed across JSON round-trip", par)
 		}
-		if regs := Diff(rep, got, 0); len(regs) != 0 {
-			t.Errorf("parallel %d: self-diff after round-trip: %v", par, regs)
-		}
 		// The on-disk form re-serializes identically, so committed
-		// BENCH_*.json files are stable under load/save cycles.
+		// report files are stable under load/save cycles.
 		var buf2 bytes.Buffer
 		if err := got.WriteJSON(&buf2); err != nil {
 			t.Fatal(err)
@@ -96,7 +94,7 @@ func TestReportPhaseTimings(t *testing.T) {
 }
 
 // TestReadJSONRejectsBadReports: version skew and structural damage
-// fail loudly instead of diffing as garbage.
+// fail loudly instead of rendering as garbage.
 func TestReadJSONRejectsBadReports(t *testing.T) {
 	rep := reportAt(t, 1)
 	good, err := json.Marshal(rep)
@@ -123,9 +121,9 @@ func TestReadJSONRejectsBadReports(t *testing.T) {
 }
 
 // TestReadJSONAcceptsV1Reports: older schemas still read, render, and
-// self-diff cleanly.  A v4 file carries the three pipeline keys that v5
-// dropped; a v1 file — the committed BENCH_*.json trajectory before v2
-// — has no race_reports.
+// sign as their source does.  A v4 file carries the three pipeline keys
+// that v5 dropped; a v1 file — the committed trajectory before v2 — has
+// no race_reports.
 func TestReadJSONAcceptsV1Reports(t *testing.T) {
 	rep := reportAt(t, 1)
 	stamp := func(in []byte, version int) string {
@@ -143,8 +141,8 @@ func TestReadJSONAcceptsV1Reports(t *testing.T) {
 		if want := renderAll(rep); renderAll(got) != want {
 			t.Errorf("v%d report renders differently from its source", version)
 		}
-		if regs := Diff(rep, got, 0); len(regs) != 0 {
-			t.Errorf("v%d self-diff: %v", version, regs)
+		if got.Signature() != rep.Signature() {
+			t.Errorf("v%d report signs differently from its source", version)
 		}
 	}
 
@@ -154,7 +152,7 @@ func TestReadJSONAcceptsV1Reports(t *testing.T) {
 	}
 	v4 := stamp(bytes.ReplaceAll(buf, []byte(`"time_ns":`),
 		[]byte(`"pipeline_chunks":3,"pipeline_max_depth":2,"pipeline_stall_ns":1500,"time_ns":`)), 4)
-	if n, want := strings.Count(v4, `"pipeline_chunks"`), 3*len(DetectorNames); n != want {
+	if n, want := strings.Count(v4, `"pipeline_chunks"`), 3*len(engine.VariantNames); n != want {
 		t.Fatalf("v4 fixture carries %d pipeline_chunks keys, want %d", n, want)
 	}
 	check(v4, 4)
@@ -169,74 +167,4 @@ func TestReadJSONAcceptsV1Reports(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(stamp(buf, 1), 1)
-}
-
-// TestDiffFlagsRegressions: Diff reports exactly the cells that got
-// worse, with missing programs/detectors and option mismatches called
-// out explicitly.
-func TestDiffFlagsRegressions(t *testing.T) {
-	old := reportAt(t, 1)
-
-	// A deep copy through the serializer keeps the fixture honest.
-	reload := func() *Report {
-		var buf bytes.Buffer
-		if err := old.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := ReadJSON(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-
-	cur := reload()
-	bf := cur.Programs[0].Detectors["BF"]
-	bf.Overhead *= 1.5
-	bf.Races++
-	regs := Diff(old, cur, 0.05)
-	if len(regs) != 2 {
-		t.Fatalf("want 2 regressions (overhead, races), got %v", regs)
-	}
-	seen := map[string]bool{}
-	for _, g := range regs {
-		seen[g.Metric] = true
-		if g.Program != cur.Programs[0].Name || g.Detector != "BF" {
-			t.Errorf("regression attributed to %s/%s", g.Program, g.Detector)
-		}
-	}
-	if !seen["overhead"] || !seen["races"] {
-		t.Errorf("wrong metrics flagged: %v", regs)
-	}
-
-	// Improvements and drift inside tolerance are not regressions.
-	cur = reload()
-	cur.Programs[0].Detectors["FT"].Overhead *= 0.5  // better
-	cur.Programs[1].Detectors["BF"].Overhead *= 1.04 // within 5%
-	if regs := Diff(old, cur, 0.05); len(regs) != 0 {
-		t.Errorf("improvement/tolerated drift flagged: %v", regs)
-	}
-
-	// Missing detector and missing program.
-	cur = reload()
-	delete(cur.Programs[0].Detectors, "SS")
-	cur.Programs = cur.Programs[:2]
-	regs = Diff(old, cur, 0.05)
-	var missing []string
-	for _, g := range regs {
-		if g.Metric == "missing" {
-			missing = append(missing, g.String())
-		}
-	}
-	if len(missing) != 2 {
-		t.Errorf("want missing detector + missing program, got %v", regs)
-	}
-
-	// Reports from different run configurations are not comparable.
-	cur = reload()
-	cur.Run.Seed++
-	regs = Diff(old, cur, 0.05)
-	if len(regs) != 1 || regs[0].Metric != "options-mismatch" {
-		t.Errorf("want options-mismatch, got %v", regs)
-	}
 }

@@ -82,14 +82,14 @@ func ReplayDir(dir string, opts Options) (*Report, error) {
 	return NewReport(opts, rs), nil
 }
 
-// replayFile replays a single trace with full accounting enabled.
+// replayFile replays a single trace.
 func replayFile(path string) (*engine.Replayed, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	res, err := engine.Replay(f, engine.ReplaySpec{CountChecks: true})
+	res, err := engine.Replay(f)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +140,7 @@ func assembleReplay(prog string, g *replayGroup) (*ProgramResult, error) {
 		Detectors:       map[string]*DetectorResult{},
 	}
 	res.addOutcome(engine.BaseVariant, g.base.Outcome, g.base.Outcome.Duration)
-	for _, name := range DetectorNames {
+	for _, name := range engine.VariantNames {
 		if rp := g.variants[name]; rp != nil {
 			res.Phases.Run += rp.Outcome.Duration
 			res.addOutcome(name, rp.Outcome, rp.Outcome.Duration)

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"bigfoot/internal/engine"
 )
 
 // This file renders the evaluation artifacts in the layout of the
@@ -246,7 +248,7 @@ func (rep *Report) Signature() string {
 			r.Suite, r.Name, r.MethodsAnalyzed, r.ChecksInserted,
 			r.BaseSteps, r.Accesses, r.BaseWords,
 			r.FTFieldChecks, r.FTArrayChecks, r.BFFieldChecks, r.BFArrayChecks)
-		for _, name := range DetectorNames {
+		for _, name := range engine.VariantNames {
 			d := r.Detectors[name]
 			if d == nil {
 				fmt.Fprintf(&b, "  %s MISSING\n", name)
