@@ -195,7 +195,7 @@ func ablate(b *testing.B, base *bfj.Program) {
 			var checks uint64
 			var shadow uint64
 			for i := 0; i < b.N; i++ {
-				d := detector.New(detector.Config{Name: v.name, Footprints: true, Proxies: prox})
+				d := detector.New(detector.Config{Footprints: true, Proxies: prox})
 				c, err := compiled.Run(d, interp.Options{Seed: 42})
 				if err != nil {
 					b.Fatal(err)

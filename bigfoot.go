@@ -283,9 +283,7 @@ func (c *Compiled) Run(cfg RunConfig) (*Report, error) {
 // context's error, so callers can bound or interrupt a detected run
 // without dropping to internal packages.
 func (c *Compiled) RunContext(ctx context.Context, cfg RunConfig) (*Report, error) {
-	spec := cfg.spec(c.Stats)
-	spec.DetectorName = c.Mode.String()
-	out, err := defaultEngine.Run(ctx, c.variant, spec)
+	out, err := defaultEngine.Run(ctx, c.variant, cfg.spec(c.Stats))
 	if err != nil {
 		return nil, err
 	}

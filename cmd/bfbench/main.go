@@ -72,7 +72,7 @@ func run() int {
 		all       = flag.Bool("all", false, "print every artifact")
 		scale     = flag.Int("scale", 1, "workload size multiplier")
 		threads   = flag.Int("threads", 4, "worker threads per program")
-		trials    = flag.Int("trials", 3, "timing trials per configuration (median)")
+		trials    = flag.Int("trials", 3, "timing trials per configuration (minimum reported)")
 		seed      = flag.Int64("seed", 42, "scheduler seed")
 		program   = flag.String("program", "", "run a single named workload")
 		parallel  = flag.Int("parallel", 0, "evaluation worker count (0 = GOMAXPROCS)")

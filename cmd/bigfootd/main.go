@@ -5,7 +5,7 @@
 // Usage:
 //
 //	bigfootd [-addr :8347] [-cache 64] [-max-steps N] [-max-timeout D]
-//	         [-max-in-flight N] [-max-queue N] [-cache-dir DIR]
+//	         [-drain-timeout D] [-max-in-flight N] [-max-queue N]
 //	         [-trace-dir DIR] [-log-json] [-v]
 //
 // Endpoints:
@@ -20,8 +20,9 @@
 // Every request is answered with an X-Request-Id header (honoring one
 // the client sent) and logged as one structured access-log line —
 // logfmt-style text by default, JSON under -log-json; -v adds
-// debug-level detail (engine cache traffic, session failures,
-// scrape/health polls).
+// debug-level detail (session failures, scrape/health polls).  Cache
+// traffic is on the access line (cache=hit|miss), at /metrics and at
+// /v1/stats.
 //
 // With -trace-dir every run is recorded into the persistent compressed
 // trace format under DIR/<source-hash>-s<seed>/ (one .bftrace per
@@ -29,10 +30,8 @@
 // an X-Bigfoot-Trace header so clients can find their recording.
 //
 // Compiled artifacts are cached (bounded LRU, content-addressed), so
-// resubmitting a program pays no parse/instrument/compile cost.  With
-// -cache-dir the cache's rebuild manifest is persisted on graceful
-// shutdown and re-derived in the background on boot, so a restarted
-// daemon answers resubmissions warm.
+// resubmitting a program pays no parse/instrument/compile cost.  The
+// cache lives and dies with the process.
 //
 // Admission is bounded: at most -max-in-flight sessions run while up
 // to -max-queue wait in a FIFO; beyond that submissions are refused
@@ -75,10 +74,9 @@ func run() int {
 		drainFor   = flag.Duration("drain-timeout", time.Minute, "grace period for in-flight sessions on shutdown")
 		maxInFly   = flag.Int("max-in-flight", service.DefaultMaxInFlight, "max concurrently running sessions (negative = unlimited)")
 		maxQueue   = flag.Int("max-queue", service.DefaultMaxQueue, "max sessions waiting for a slot before 429 (negative = no queue)")
-		cacheDir   = flag.String("cache-dir", "", "persist the artifact cache manifest here on shutdown and warm from it on boot")
 		traceDir   = flag.String("trace-dir", "", "record every run as compressed traces under this directory")
 		logJSON    = flag.Bool("log-json", false, "emit the access log as JSON lines instead of text")
-		verbose    = flag.Bool("v", false, "debug logging: cache traffic, session failures, health/metrics polls")
+		verbose    = flag.Bool("v", false, "debug logging: session failures, health/metrics polls")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -104,7 +102,6 @@ func run() int {
 		MaxTimeout:  *maxTimeout,
 		MaxInFlight: *maxInFly,
 		MaxQueue:    *maxQueue,
-		CacheDir:    *cacheDir,
 		TraceDir:    *traceDir,
 		Metrics:     reg,
 		Logger:      logger,
@@ -119,7 +116,7 @@ func run() int {
 	logger.Info("listening",
 		"addr", ln.Addr().String(), "cache", *cacheSize,
 		"max_steps", *maxSteps, "max_timeout", *maxTimeout,
-		"max_in_flight", *maxInFly, "max_queue", *maxQueue, "cache_dir", *cacheDir)
+		"max_in_flight", *maxInFly, "max_queue", *maxQueue)
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()

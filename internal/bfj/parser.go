@@ -1144,11 +1144,4 @@ func (p *parser) parsePostfix(out *Block) (expr.Expr, error) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func posOf(t token) Pos { return Pos{Line: t.Line, Col: t.Col} }

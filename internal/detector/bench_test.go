@@ -59,7 +59,7 @@ func BenchmarkCheckField(b *testing.B) {
 	fields := []string{"f", "g", "h", "k"}
 	poss := []bfj.Pos{{Line: 3, Col: 12}}
 	b.Run("proxied", func(b *testing.B) {
-		d := New(Config{Name: "BF", Footprints: true, Proxies: benchProxies(b)})
+		d := New(Config{Footprints: true, Proxies: benchProxies(b)})
 		o := benchObject()
 		fc := &interp.FieldCheck{Index: 0, Fields: fields, Poss: poss}
 		b.ReportAllocs()
@@ -69,7 +69,7 @@ func BenchmarkCheckField(b *testing.B) {
 		}
 	})
 	b.Run("distinct", func(b *testing.B) {
-		d := New(Config{Name: "FT"})
+		d := New(Config{})
 		o := benchObject()
 		fc := &interp.FieldCheck{Index: 0, Fields: fields, Poss: poss}
 		b.ReportAllocs()
@@ -88,7 +88,7 @@ func BenchmarkCheckField(b *testing.B) {
 //     same-epoch steady state.
 func BenchmarkCheckRange(b *testing.B) {
 	b.Run("footprint", func(b *testing.B) {
-		d := New(Config{Name: "SS", Footprints: true})
+		d := New(Config{Footprints: true})
 		a := &interp.Array{ID: 1, Elems: make([]interp.Value, 64)}
 		d.CheckRange(1, true, a, 0, 64, 1, nil)
 		b.ReportAllocs()
@@ -98,7 +98,7 @@ func BenchmarkCheckRange(b *testing.B) {
 		}
 	})
 	b.Run("fine", func(b *testing.B) {
-		d := New(Config{Name: "FT"})
+		d := New(Config{})
 		a := &interp.Array{ID: 1, Elems: make([]interp.Value, 64)}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -112,7 +112,7 @@ func BenchmarkCheckRange(b *testing.B) {
 // of two arrays (one pending write run each) onto coarse shadow state —
 // the steady-state shape of a loop thread hitting a lock.
 func BenchmarkCommit(b *testing.B) {
-	d := New(Config{Name: "BF", Footprints: true})
+	d := New(Config{Footprints: true})
 	a1 := &interp.Array{ID: 1, Elems: make([]interp.Value, 64)}
 	a2 := &interp.Array{ID: 2, Elems: make([]interp.Value, 64)}
 	b.ReportAllocs()
@@ -128,7 +128,7 @@ func BenchmarkCommit(b *testing.B) {
 // pending footprint — the pure clock-join cost of the sync path, which
 // under the old census walked all shadow state every 256th call.
 func BenchmarkSync(b *testing.B) {
-	d := New(Config{Name: "FT"})
+	d := New(Config{})
 	lock := benchObject()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -156,7 +156,7 @@ func BenchmarkSync(b *testing.B) {
 func BenchmarkFastPath(b *testing.B) {
 	fc := &interp.FieldCheck{Index: 0, Fields: []string{"f"}}
 	b.Run("same-epoch-read", func(b *testing.B) {
-		d, o := New(Config{Name: "FT"}), benchObject()
+		d, o := New(Config{}), benchObject()
 		d.CheckField(1, false, o, fc)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -165,7 +165,7 @@ func BenchmarkFastPath(b *testing.B) {
 		}
 	})
 	b.Run("same-epoch-write", func(b *testing.B) {
-		d, o := New(Config{Name: "FT"}), benchObject()
+		d, o := New(Config{}), benchObject()
 		d.CheckField(1, true, o, fc)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -174,7 +174,7 @@ func BenchmarkFastPath(b *testing.B) {
 		}
 	})
 	b.Run("owned-write", func(b *testing.B) {
-		d, o := New(Config{Name: "FT"}), benchObject()
+		d, o := New(Config{}), benchObject()
 		d.CheckField(1, true, o, fc)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -184,7 +184,7 @@ func BenchmarkFastPath(b *testing.B) {
 		}
 	})
 	b.Run("demotion-churn", func(b *testing.B) {
-		d, o := New(Config{Name: "FT"}), benchObject()
+		d, o := New(Config{}), benchObject()
 		demotionClocks(d)
 		driveDemotionCycle(d, o, fc) // warm-up allocates the read vector
 		driveDemotionCycle(d, o, fc) // second cycle grows it to steady size
@@ -195,7 +195,7 @@ func BenchmarkFastPath(b *testing.B) {
 		}
 	})
 	b.Run("lock-reacquire", func(b *testing.B) {
-		d, lock := New(Config{Name: "FT"}), benchObject()
+		d, lock := New(Config{}), benchObject()
 		d.Acquire(1, lock)
 		d.Release(1, lock)
 		b.ReportAllocs()

@@ -86,7 +86,7 @@ setup {
 }
 `
 	prog, _ := instrument.EveryAccess(bfj.MustParse(src))
-	d := New(Config{Name: "FT", DebugCensus: true})
+	d := New(Config{DebugCensus: true})
 	s := &oldCensusSampler{d: d}
 	if _, err := interp.Run(prog, trace.Tee(d, s), interp.Options{Seed: 0}); err != nil {
 		t.Fatal(err)

@@ -44,8 +44,6 @@ import (
 
 // Config selects a detector variant.
 type Config struct {
-	// Name labels the detector in reports.
-	Name string
 	// Footprints enables per-thread array footprints committed at
 	// synchronization operations, with adaptively compressed array
 	// shadow state (SlimState §4).
@@ -73,12 +71,6 @@ type Config struct {
 	// regress corpus); never set it in benchmarked runs — the walk is
 	// exactly the cost the incremental census removed.
 	DebugCensus bool
-	// TestDropFieldChecks is a fault-injection switch for the
-	// differential-testing suite: when set, the detector silently ignores
-	// every CheckField event, simulating a lost check.  The difftest
-	// shrinker test proves such a detector is caught by the oracle sweep
-	// and shrunk to a minimal repro.  Never set outside tests.
-	TestDropFieldChecks bool
 }
 
 // Race is a reported data race with two-sited provenance: the source
@@ -432,9 +424,6 @@ func (d *Detector) slotOf(key string) int {
 // the ShadowOps column of the deterministic reports must not depend on
 // which path handled the event.
 func (d *Detector) CheckField(t int, write bool, o *interp.Object, fc *interp.FieldCheck) {
-	if d.cfg.TestDropFieldChecks {
-		return
-	}
 	site := d.site(fc)
 	sh := d.objShadow(o)
 	fast := !d.cfg.DisableFastPaths

@@ -34,11 +34,11 @@ func buildVariants(t *testing.T, src string) []variant {
 	bigProx := proxy.Analyze(big)
 
 	return []variant{
-		{"FT", every, New(Config{Name: "FT"})},
-		{"RC", red, New(Config{Name: "RC", Proxies: redProx})},
-		{"SS", every, New(Config{Name: "SS", Footprints: true})},
-		{"SC", red, New(Config{Name: "SC", Footprints: true, Proxies: redProx})},
-		{"BF", big, New(Config{Name: "BF", Footprints: true, Proxies: bigProx})},
+		{"FT", every, New(Config{})},
+		{"RC", red, New(Config{Proxies: redProx})},
+		{"SS", every, New(Config{Footprints: true})},
+		{"SC", red, New(Config{Footprints: true, Proxies: redProx})},
+		{"BF", big, New(Config{Footprints: true, Proxies: bigProx})},
 	}
 }
 
@@ -323,7 +323,7 @@ thread { c.v = 1; }
 thread { c.v = 2; }
 `)
 	big := analysis.New(prog, analysis.DefaultOptions()).Instrument()
-	d := New(Config{Name: "BF", Footprints: true, Proxies: proxy.Analyze(big)})
+	d := New(Config{Footprints: true, Proxies: proxy.Analyze(big)})
 	if _, err := interp.Run(big, d, interp.Options{Seed: 0}); err != nil {
 		fmt.Println("error:", err)
 		return
@@ -397,7 +397,7 @@ thread { for (i = 0; i < 5000; i = i + 1) { a[i % 8] = i; } }
 	base := bfj.MustParse(src)
 	big := analysis.New(base, analysis.DefaultOptions()).Instrument()
 	prox := proxy.Analyze(big)
-	d := New(Config{Name: "BF", Footprints: true, Proxies: prox, PeriodicCommit: 64})
+	d := New(Config{Footprints: true, Proxies: prox, PeriodicCommit: 64})
 	o := NewOracle()
 	if _, err := interp.Run(big, trace.Tee(d, o), interp.Options{Seed: 1}); err != nil {
 		t.Fatal(err)
@@ -412,7 +412,7 @@ thread { for (i = 0; i < 32; i = i + 1) { a[i] = i; } }
 thread { for (i = 32; i < 64; i = i + 1) { a[i] = i; } }
 `)
 	bigC := analysis.New(clean, analysis.DefaultOptions()).Instrument()
-	dc := New(Config{Name: "BF", Footprints: true, Proxies: proxy.Analyze(bigC), PeriodicCommit: 4})
+	dc := New(Config{Footprints: true, Proxies: proxy.Analyze(bigC), PeriodicCommit: 4})
 	if _, err := interp.Run(bigC, dc, interp.Options{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ thread { for (i = 256; i < 768; i = i + 1) { a[i] = i; } }
 	prox := proxy.Analyze(big)
 
 	runOnce := func(pc int, seed int64) (*Detector, *Oracle) {
-		d := New(Config{Name: "BF", Footprints: true, Proxies: prox, PeriodicCommit: pc})
+		d := New(Config{Footprints: true, Proxies: prox, PeriodicCommit: pc})
 		o := NewOracle()
 		if _, err := interp.Run(big, trace.Tee(d, o), interp.Options{Seed: seed}); err != nil {
 			t.Fatal(err)
@@ -492,7 +492,7 @@ thread { for (i = 256; i < 768; i = i + 1) { a[i] = i; } }
 // that both race yield two race records (not collapsed into one), while
 // a later racy commit of an identical range is suppressed.
 func TestOverlappingRangeDedup(t *testing.T) {
-	d := New(Config{Name: "SS", Footprints: true})
+	d := New(Config{Footprints: true})
 	a := &interp.Array{ID: 7, Elems: make([]interp.Value, 8)}
 	lk := &interp.Object{ID: 99, Class: &bfj.Class{Name: "Lk"}}
 	d.Fork(0, 1)

@@ -47,7 +47,7 @@ func demotionClocks(d *Detector) {
 // zero (the adaptive-transition counters are telemetry, not hits, and
 // promotions still occur without fast paths).
 func TestEachFastPathFires(t *testing.T) {
-	d := New(Config{Name: "FT"})
+	d := New(Config{})
 	obj := benchObject()
 	fc := fieldCheck(0, "f")
 	lock := &interp.Object{ID: 9, Class: &bfj.Class{Name: "P"}}
@@ -90,7 +90,7 @@ func TestEachFastPathFires(t *testing.T) {
 	// state rides on the object, so reuse would leak the first run's
 	// epochs): no hits, no demotion (promotion still happens — inflation
 	// is base protocol).
-	d2 := New(Config{Name: "FT", DisableFastPaths: true})
+	d2 := New(Config{DisableFastPaths: true})
 	obj, obj2 = benchObject(), &interp.Object{ID: 2, Class: &bfj.Class{Name: "P"}}
 	lock = &interp.Object{ID: 9, Class: &bfj.Class{Name: "P"}}
 	d2.CheckField(1, false, obj, fc)
@@ -134,17 +134,17 @@ func TestFastPathZeroAllocs(t *testing.T) {
 		prep func() func()
 	}{
 		{"same-epoch-read", func() func() {
-			d, obj := New(Config{Name: "FT"}), benchObject()
+			d, obj := New(Config{}), benchObject()
 			d.CheckField(1, false, obj, fc)
 			return func() { d.CheckField(1, false, obj, fc) }
 		}},
 		{"same-epoch-write", func() func() {
-			d, obj := New(Config{Name: "FT"}), benchObject()
+			d, obj := New(Config{}), benchObject()
 			d.CheckField(1, true, obj, fc)
 			return func() { d.CheckField(1, true, obj, fc) }
 		}},
 		{"owned-write", func() func() {
-			d, obj := New(Config{Name: "FT"}), benchObject()
+			d, obj := New(Config{}), benchObject()
 			d.CheckField(1, true, obj, fc)
 			return func() {
 				d.clk.vcs[1].Tick(1)
@@ -152,14 +152,14 @@ func TestFastPathZeroAllocs(t *testing.T) {
 			}
 		}},
 		{"demotion-churn", func() func() {
-			d, obj := New(Config{Name: "FT"}), benchObject()
+			d, obj := New(Config{}), benchObject()
 			demotionClocks(d)
 			driveDemotionCycle(d, obj, fc) // warm-up allocates the read vector once
 			driveDemotionCycle(d, obj, fc) // second cycle grows it to its steady size
 			return func() { driveDemotionCycle(d, obj, fc) }
 		}},
 		{"lock-reacquire", func() func() {
-			d := New(Config{Name: "FT"})
+			d := New(Config{})
 			lock := &interp.Object{ID: 9, Class: &bfj.Class{Name: "P"}}
 			d.Acquire(1, lock)
 			d.Release(1, lock)
@@ -183,7 +183,7 @@ func TestFastPathZeroAllocs(t *testing.T) {
 // walking census cross-check enabled: every inflation and collapse must
 // report its exact word delta through the meter.
 func TestDemotionCensusBalances(t *testing.T) {
-	d := New(Config{Name: "FT", DebugCensus: true})
+	d := New(Config{DebugCensus: true})
 	obj := benchObject()
 	fc := fieldCheck(0, "f")
 	demotionClocks(d)

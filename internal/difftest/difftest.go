@@ -68,10 +68,19 @@ type Options struct {
 	// exempt — adaptive demotion is allowed to shrink them.  A
 	// divergence is reported as a Disagreement of Kind "fastpath".
 	CompareFastPaths bool
-	// Fault, when non-nil, mutates each variant's detector configuration
-	// before the run — the fault-injection hook used to prove broken
-	// detectors are caught (e.g. set TestDropFieldChecks on FT).
-	Fault func(name string, cfg *detector.Config)
+	// Fault, when non-nil, wraps each variant's detector hook, in the
+	// primary run and in the fast-paths-off run alike — the
+	// fault-injection seam used to prove broken detectors are caught
+	// (e.g. drop FT's CheckField events).
+	Fault func(name string, d interp.Hook) interp.Hook
+}
+
+// fault applies Fault, when set, to variant name's detector hook.
+func (o Options) fault(name string, d interp.Hook) interp.Hook {
+	if o.Fault == nil {
+		return d
+	}
+	return o.Fault(name, d)
 }
 
 func (o Options) seeds() []int64 {
@@ -112,14 +121,11 @@ func CheckProgram(base *bfj.Program, opts Options) (*Disagreement, error) {
 			// census against a full shadow walk (panics loudly on any
 			// mismatch), so the sweep and the regress corpus double as the
 			// census-accounting validation suite.
-			cfg := detector.Config{Name: v.Name, Footprints: v.Footprints, Proxies: v.Proxies, DebugCensus: true}
-			if opts.Fault != nil {
-				opts.Fault(v.Name, &cfg)
-			}
+			cfg := detector.Config{Footprints: v.Footprints, Proxies: v.Proxies, DebugCensus: true}
 			d := detector.New(cfg)
 			o := detector.NewOracle()
 			run := interp.Options{Seed: seed, MaxSteps: opts.MaxSteps}
-			cnt, err := v.Compiled.Run(trace.Tee(d, o), run)
+			cnt, err := v.Compiled.Run(trace.Tee(opts.fault(v.Name, d), o), run)
 			if err != nil {
 				return nil, fmt.Errorf("%s seed %d: run: %w", v.Name, seed, err)
 			}
@@ -133,7 +139,7 @@ func CheckProgram(base *bfj.Program, opts Options) (*Disagreement, error) {
 				slow := cfg
 				slow.DisableFastPaths = true
 				d2 := detector.New(slow)
-				if _, err := v.Compiled.Run(d2, run); err != nil {
+				if _, err := v.Compiled.Run(opts.fault(v.Name, d2), run); err != nil {
 					return nil, fmt.Errorf("%s seed %d: fast-paths-off run: %w", v.Name, seed, err)
 				}
 				if dis := checkCounters(v.Name, seed, slow, d2); dis != nil {

@@ -65,7 +65,7 @@ func ftStats(t *testing.T, src string, seed int64, disable bool) *detector.Detec
 		t.Fatalf("parse: %v", err)
 	}
 	prog, _ := instrument.EveryAccess(base)
-	d := detector.New(detector.Config{Name: "FT", DebugCensus: true, DisableFastPaths: disable})
+	d := detector.New(detector.Config{DebugCensus: true, DisableFastPaths: disable})
 	if _, err := interp.Run(prog, d, interp.Options{Seed: seed}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -153,7 +153,7 @@ func TestAdaptiveMaxThreadsBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog, _ := instrument.EveryAccess(base)
-	if _, err := interp.Run(prog, detector.New(detector.Config{Name: "FT"}), interp.Options{Seed: 1}); err == nil {
+	if _, err := interp.Run(prog, detector.New(detector.Config{}), interp.Options{Seed: 1}); err == nil {
 		t.Error("one fork past vc.MaxThreads must be a runtime error")
 	}
 }

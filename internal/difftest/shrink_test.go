@@ -54,13 +54,8 @@ func totalStmts(src string, t *testing.T) int {
 // minimal repro that still distinguishes the broken detector from the
 // fixed one.
 func TestShrinkerCatchesBrokenDetector(t *testing.T) {
-	fault := func(name string, cfg *detector.Config) {
-		if name == "FT" {
-			cfg.TestDropFieldChecks = true
-		}
-	}
 	brokenFails := func(src string) bool {
-		dis, err := CheckSource(src, Options{Seeds: []int64{0, 1, 2}, Fault: fault, MaxSteps: shrinkMaxSteps})
+		dis, err := CheckSource(src, Options{Seeds: []int64{0, 1, 2}, Fault: dropFieldChecks("FT"), MaxSteps: shrinkMaxSteps})
 		return err == nil && dis != nil && dis.Detector == "FT" && dis.Kind == "trace"
 	}
 

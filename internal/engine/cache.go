@@ -2,13 +2,9 @@ package engine
 
 import (
 	"container/list"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"io"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -51,20 +47,8 @@ type CacheStats struct {
 	// in-flight build of the same key (they are also counted as hits:
 	// they did not compile).
 	Collapsed uint64 `json:"collapsed"`
-	// Warmed counts artifacts rebuilt from a persisted cache index on
-	// boot (see Engine.WarmFrom).
-	Warmed   uint64 `json:"warmed"`
-	Entries  int    `json:"entries"`
-	Capacity int    `json:"capacity"`
-}
-
-// String renders the snapshot for log lines.
-func (s CacheStats) String() string {
-	return "hits=" + strconv.FormatUint(s.Hits, 10) +
-		" misses=" + strconv.FormatUint(s.Misses, 10) +
-		" evictions=" + strconv.FormatUint(s.Evictions, 10) +
-		" collapsed=" + strconv.FormatUint(s.Collapsed, 10) +
-		" entries=" + strconv.Itoa(s.Entries) + "/" + strconv.Itoa(s.Capacity)
+	Entries   int    `json:"entries"`
+	Capacity  int    `json:"capacity"`
 }
 
 // Cache is a bounded, content-addressed LRU cache of build artifacts.
@@ -86,8 +70,8 @@ type Cache struct {
 	// Effectiveness counters live directly on metrics instruments
 	// (detached ones when the cache was built without a registry), so
 	// exposition and CacheStats can never disagree.
-	hits, misses, evictions, collapsed, warmed *metrics.Counter
-	entriesGauge                               *metrics.Gauge
+	hits, misses, evictions, collapsed *metrics.Counter
+	entriesGauge                       *metrics.Gauge
 }
 
 type cacheEntry struct {
@@ -103,20 +87,16 @@ type buildCall struct {
 }
 
 // NewCache creates a cache bounded to capacity entries (minimum 1)
-// with detached (unexported) instruments.
-func NewCache(capacity int) *Cache { return NewCacheMetered(capacity, nil) }
-
-// NewCacheMetered creates a cache bounded to capacity entries whose
-// effectiveness counters are registered on reg as the counter family
-// bigfoot_engine_cache_events_total{event} and the gauge
+// whose effectiveness counters are registered on reg as the counter
+// family bigfoot_engine_cache_events_total{event} and the gauge
 // bigfoot_engine_cache_entries.  A nil registry hands out detached
 // instruments, so the cache meters either way.
-func NewCacheMetered(capacity int, reg *metrics.Registry) *Cache {
+func NewCache(capacity int, reg *metrics.Registry) *Cache {
 	if capacity < 1 {
 		capacity = 1
 	}
 	events := reg.CounterVec("bigfoot_engine_cache_events_total",
-		"artifact-cache events: hit, miss, eviction, collapsed (miss that waited on an in-flight build), warmed (rebuilt from a persisted index on boot)",
+		"artifact-cache events: hit, miss, eviction, collapsed (miss that waited on an in-flight build)",
 		"event")
 	return &Cache{
 		cap:       capacity,
@@ -127,23 +107,9 @@ func NewCacheMetered(capacity int, reg *metrics.Registry) *Cache {
 		misses:    events.With("miss"),
 		evictions: events.With("eviction"),
 		collapsed: events.With("collapsed"),
-		warmed:    events.With("warmed"),
 		entriesGauge: reg.Gauge("bigfoot_engine_cache_entries",
 			"artifact-cache resident entries"),
 	}
-}
-
-// Get returns the cached artifact for key, updating recency, or nil.
-func (c *Cache) Get(key string) *Artifact {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.hits.Inc()
-		c.order.MoveToFront(el)
-		return el.Value.(*cacheEntry).art
-	}
-	c.misses.Inc()
-	return nil
 }
 
 // GetOrBuild returns the artifact for key, building it with build on a
@@ -230,13 +196,6 @@ func (c *Cache) Peek(key string) bool {
 	return ok
 }
 
-// Len returns the current entry count.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
 // Stats snapshots the effectiveness counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
@@ -246,91 +205,6 @@ func (c *Cache) Stats() CacheStats {
 		Misses:    uint64(c.misses.Value()),
 		Evictions: uint64(c.evictions.Value()),
 		Collapsed: uint64(c.collapsed.Value()),
-		Warmed:    uint64(c.warmed.Value()),
 		Entries:   c.order.Len(), Capacity: c.cap,
 	}
-}
-
-// CacheIndexVersion is the format version of a persisted cache index.
-const CacheIndexVersion = 1
-
-// IndexEntry is one persisted cache entry: everything needed to rebuild
-// the artifact from scratch.  The index persists sources, not compiled
-// binaries — compilation is cheap and deterministic, so re-deriving the
-// artifact keeps the on-disk format trivial and version-proof (an index
-// written by one build of the system warms any other).
-type IndexEntry struct {
-	Source   string   `json:"source"`
-	Variants []string `json:"variants"`
-	WithBase bool     `json:"with_base"`
-}
-
-// cacheIndex is the JSON document SaveIndex writes and WarmFrom reads.
-type cacheIndex struct {
-	Version int          `json:"version"`
-	Entries []IndexEntry `json:"entries"`
-}
-
-// SaveIndex persists the cache's resident entries as a rebuild manifest
-// (key → source + build spec), returning how many were written.
-// Entries are written least-recently-used first so that warming in file
-// order reproduces the saved recency (the MRU entry is rebuilt last).
-// Artifacts built without source text (BuildAST) cannot be re-derived
-// and are skipped.
-func (c *Cache) SaveIndex(w io.Writer) (int, error) {
-	idx := cacheIndex{Version: CacheIndexVersion}
-	c.mu.Lock()
-	for el := c.order.Back(); el != nil; el = el.Prev() {
-		art := el.Value.(*cacheEntry).art
-		if art.src == "" {
-			continue
-		}
-		idx.Entries = append(idx.Entries, IndexEntry{
-			Source:   art.src,
-			Variants: art.srcVariants,
-			WithBase: art.srcWithBase,
-		})
-	}
-	c.mu.Unlock()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(idx); err != nil {
-		return 0, fmt.Errorf("cache index: %w", err)
-	}
-	return len(idx.Entries), nil
-}
-
-// WarmFrom rebuilds the artifacts listed in a cache index previously
-// written by SaveIndex, re-populating the engine's cache through the
-// ordinary BuildSource path (so singleflight collapsing and eviction
-// apply).  It returns how many artifacts were actually rebuilt —
-// entries already resident count as hits, not warms — and stops early
-// when ctx is done.  Entries whose source no longer builds are skipped
-// with a diagnostic, never fatal: a stale index must not block boot.
-func (e *Engine) WarmFrom(ctx context.Context, r io.Reader) (int, error) {
-	var idx cacheIndex
-	if err := json.NewDecoder(r).Decode(&idx); err != nil {
-		return 0, fmt.Errorf("cache index: %w", err)
-	}
-	if idx.Version != CacheIndexVersion {
-		return 0, fmt.Errorf("cache index version %d, want %d", idx.Version, CacheIndexVersion)
-	}
-	warmed := 0
-	for _, ent := range idx.Entries {
-		if err := ctx.Err(); err != nil {
-			return warmed, err
-		}
-		_, hit, err := e.BuildSource(ent.Source, BuildSpec{Variants: ent.Variants, WithBase: ent.WithBase})
-		if err != nil {
-			e.logf("engine: warm skipped one entry: %v", err)
-			continue
-		}
-		if !hit {
-			warmed++
-			if e.cache != nil {
-				e.cache.warmed.Inc()
-			}
-		}
-	}
-	return warmed, nil
 }

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -28,7 +26,7 @@ func TestCacheKeyShape(t *testing.T) {
 }
 
 func TestCacheHitMissEvictionCounts(t *testing.T) {
-	c := NewCache(2)
+	c := NewCache(2, nil)
 	build := func(name string) func() (*Artifact, error) {
 		return func() (*Artifact, error) { return &Artifact{Hash: name}, nil }
 	}
@@ -55,15 +53,15 @@ func TestCacheHitMissEvictionCounts(t *testing.T) {
 	}
 	st := c.Stats()
 	if st.Hits != 2 || st.Misses != 3 || st.Evictions != 1 {
-		t.Errorf("stats = %v, want hits=2 misses=3 evictions=1", st)
+		t.Errorf("stats = %+v, want hits=2 misses=3 evictions=1", st)
 	}
-	if st.Entries != 2 || st.Capacity != 2 || c.Len() != 2 {
-		t.Errorf("size = %v", st)
+	if st.Entries != 2 || st.Capacity != 2 {
+		t.Errorf("size = %+v", st)
 	}
 }
 
 func TestCacheDoesNotCacheErrors(t *testing.T) {
-	c := NewCache(4)
+	c := NewCache(4, nil)
 	boom := errors.New("boom")
 	calls := 0
 	_, _, err := c.GetOrBuild("k", func() (*Artifact, error) { calls++; return nil, boom })
@@ -86,7 +84,7 @@ func TestCacheDoesNotCacheErrors(t *testing.T) {
 // build receive an error, the panic resumes in the builder's goroutine,
 // and a retry rebuilds the key successfully.
 func TestCacheBuildPanicUnwedges(t *testing.T) {
-	c := NewCache(4)
+	c := NewCache(4, nil)
 
 	builderStarted := make(chan struct{})
 	releaseBuilder := make(chan struct{})
@@ -148,76 +146,12 @@ func TestCacheBuildPanicUnwedges(t *testing.T) {
 	}
 }
 
-// TestCacheSaveIndexWarmFrom: SaveIndex persists a rebuild manifest of
-// every source-built entry, WarmFrom re-derives the artifacts into a
-// fresh engine (counting only real rebuilds as warmed), and stale or
-// versioned-away indices degrade gracefully.
-func TestCacheSaveIndexWarmFrom(t *testing.T) {
-	e1 := New(Options{CacheSize: 8})
-	if _, _, err := e1.BuildSource(racy, BuildSpec{WithBase: true}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := e1.BuildSource(racy, BuildSpec{Variants: []string{"BF"}}); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	n, err := e1.Cache().SaveIndex(&buf)
-	if err != nil || n != 2 {
-		t.Fatalf("SaveIndex wrote %d entries, err %v", n, err)
-	}
-
-	e2 := New(Options{CacheSize: 8})
-	warmed, err := e2.WarmFrom(context.Background(), bytes.NewReader(buf.Bytes()))
-	if err != nil || warmed != 2 {
-		t.Fatalf("WarmFrom rebuilt %d entries, err %v", warmed, err)
-	}
-	if !e2.Cache().Peek(CacheKey(racy, VariantNames, true)) {
-		t.Error("full-variant entry not resident after warm")
-	}
-	if !e2.Cache().Peek(CacheKey(racy, []string{"BF"}, false)) {
-		t.Error("BF-only entry not resident after warm")
-	}
-	if st := e2.Cache().Stats(); st.Warmed != 2 {
-		t.Errorf("warmed counter = %d, want 2", st.Warmed)
-	}
-
-	// The point of warming: the next submission is a hit.
-	_, hit, err := e2.BuildSource(racy, BuildSpec{WithBase: true})
-	if err != nil || !hit {
-		t.Fatalf("post-warm build: hit=%v err=%v", hit, err)
-	}
-
-	// Warming again is idempotent: resident entries hit, nothing warms.
-	if again, err := e2.WarmFrom(context.Background(), bytes.NewReader(buf.Bytes())); err != nil || again != 0 {
-		t.Fatalf("second warm rebuilt %d entries, err %v", again, err)
-	}
-
-	// A stale entry whose source no longer builds is skipped, not fatal.
-	stale := `{"version":1,"entries":[{"source":"class {","variants":["FT"],"with_base":false}]}`
-	if warmed, err := e2.WarmFrom(context.Background(), strings.NewReader(stale)); err != nil || warmed != 0 {
-		t.Fatalf("stale-source warm: rebuilt %d, err %v", warmed, err)
-	}
-
-	// An index from an unknown format version fails loudly.
-	if _, err := e2.WarmFrom(context.Background(), strings.NewReader(`{"version":99}`)); err == nil {
-		t.Error("unsupported index version must be an error")
-	}
-
-	// A cancelled context stops the warm early.
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	e3 := New(Options{CacheSize: 8})
-	if _, err := e3.WarmFrom(cancelled, bytes.NewReader(buf.Bytes())); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled warm err = %v, want context.Canceled", err)
-	}
-}
-
 // TestCacheConcurrentHammer pins the cache's concurrency contract under
 // -race: concurrent readers share artifacts safely, concurrent misses
 // on one key collapse onto a single build, and the counters stay
 // consistent.
 func TestCacheConcurrentHammer(t *testing.T) {
-	c := NewCache(8)
+	c := NewCache(8, nil)
 	var builds atomic.Int64
 	const goroutines = 32
 	const keys = 4 // fits in capacity: every key builds exactly once
@@ -250,7 +184,7 @@ func TestCacheConcurrentHammer(t *testing.T) {
 	}
 	st := c.Stats()
 	if st.Misses < keys || st.Hits == 0 {
-		t.Errorf("implausible stats after hammer: %v", st)
+		t.Errorf("implausible stats after hammer: %+v", st)
 	}
 }
 
@@ -273,6 +207,6 @@ func TestEngineCacheEndToEnd(t *testing.T) {
 	}
 	st := e.Cache().Stats()
 	if st.Hits != 1 || st.Misses != 2 {
-		t.Errorf("engine cache stats = %v, want hits=1 misses=2", st)
+		t.Errorf("engine cache stats = %+v, want hits=1 misses=2", st)
 	}
 }

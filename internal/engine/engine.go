@@ -63,21 +63,11 @@ func footprintsFor(name string) bool {
 	return name == "SS" || name == "SC" || name == "BF"
 }
 
-// Logf is the engine's injectable logging seam.  The engine never
-// writes to any stream on its own: a nil Logf discards, and clients
-// that want progress noise (the CLIs log to stderr, the daemon to its
-// request logger) inject their own sink.  This keeps long-lived hosts'
-// stdout clean by construction.
-type Logf func(format string, args ...any)
-
 // Options configures an Engine.
 type Options struct {
 	// CacheSize bounds the artifact cache in entries; 0 disables
 	// caching (every BuildSource compiles).
 	CacheSize int
-	// Logf receives diagnostic lines (cache hits/misses/evictions,
-	// build failures).  nil discards.
-	Logf Logf
 	// Metrics receives the engine's instruments: build/run latency
 	// histograms, outcome, execution and cache counters.  nil
 	// meters into detached instruments (no exposition, negligible
@@ -90,18 +80,15 @@ type Options struct {
 // usable; construct with New.
 type Engine struct {
 	cache *Cache
-	logf  Logf
 	m     engineMetrics
 }
 
-// New creates an engine.
+// New creates an engine.  It writes to no stream: cache traffic and
+// build failures reach clients through Metrics and returned errors.
 func New(opts Options) *Engine {
-	e := &Engine{logf: opts.Logf, m: newEngineMetrics(opts.Metrics)}
-	if e.logf == nil {
-		e.logf = func(string, ...any) {}
-	}
+	e := &Engine{m: newEngineMetrics(opts.Metrics)}
 	if opts.CacheSize > 0 {
-		e.cache = NewCacheMetered(opts.CacheSize, opts.Metrics)
+		e.cache = NewCache(opts.CacheSize, opts.Metrics)
 	}
 	return e
 }
@@ -264,14 +251,6 @@ type Artifact struct {
 	Variants []*Variant
 
 	byName map[string]*Variant
-
-	// Rebuild provenance for cache persistence (Cache.SaveIndex):
-	// artifacts built through BuildSource remember the exact inputs that
-	// produced them, so a saved index can re-derive them after a
-	// restart.  Empty for artifacts built from a bare AST.
-	src         string
-	srcVariants []string
-	srcWithBase bool
 }
 
 // Variant returns the named variant, or nil when the artifact was built
@@ -389,33 +368,17 @@ func (e *Engine) BuildSource(src string, spec BuildSpec) (*Artifact, bool, error
 		}
 		art.Hash = SourceHash(src)
 		art.Timings.Parse = parse
-		art.src = src
-		art.srcVariants = names
-		art.srcWithBase = spec.WithBase
 		return art, nil
 	}
 	if e.cache == nil {
 		art, err := build()
 		return art, false, err
 	}
-	key := CacheKey(src, names, spec.WithBase)
-	art, hit, err := e.cache.GetOrBuild(key, build)
-	if err != nil {
-		return nil, false, err
-	}
-	if hit {
-		e.logf("engine: cache hit %s", key)
-	} else {
-		e.logf("engine: cache miss %s (compiled %d variants)", key, len(art.Variants))
-	}
-	return art, hit, nil
+	return e.cache.GetOrBuild(CacheKey(src, names, spec.WithBase), build)
 }
 
 // RunSpec configures one detected execution.
 type RunSpec struct {
-	// DetectorName labels the detector in race reports and stats; empty
-	// uses the variant's canonical name.
-	DetectorName string
 	// Seed drives the deterministic thread schedule.
 	Seed int64
 	// MaxSteps bounds the execution's interpreted steps (0 = interpreter
@@ -579,12 +542,7 @@ func (c *chain) fill(out *Outcome) {
 // whatever completed) even when err is non-nil, so batch clients can
 // attribute partial work.
 func (e *Engine) Run(ctx context.Context, v *Variant, spec RunSpec) (*Outcome, error) {
-	name := spec.DetectorName
-	if name == "" {
-		name = v.Name
-	}
 	d := detector.New(detector.Config{
-		Name:        name,
 		Footprints:  v.Footprints,
 		Proxies:     v.Proxies,
 		DebugCensus: spec.DebugCensus,

@@ -45,7 +45,6 @@ func Replay(r io.Reader) (*Replayed, error) {
 	var d *detector.Detector
 	if name != BaseVariant {
 		d = detector.New(detector.Config{
-			Name:       name,
 			Footprints: footprintsFor(name),
 			Proxies:    proxy.FromPairs(hdr.ProxyRep),
 		})

@@ -206,11 +206,6 @@ type Options struct {
 	TraceDir string
 }
 
-// DefaultOptions returns the standard evaluation configuration.
-func DefaultOptions() Options {
-	return Options{Scale: workloads.DefaultScale(), Seed: 42, Trials: 5}
-}
-
 // Runner executes the evaluation: a thin batch client over the engine
 // that adds trials, aggregation, and report assembly.
 type Runner struct {
@@ -223,9 +218,6 @@ type Runner struct {
 	// runners (the bigfootd service does).  nil lazily constructs a
 	// private uncached engine.
 	Engine *engine.Engine
-	// Logf receives engine diagnostics (cache traffic, build failures).
-	// nil discards; no output stream is written by default.
-	Logf engine.Logf
 
 	progressMu sync.Mutex
 	engineOnce sync.Once
@@ -236,7 +228,7 @@ type Runner struct {
 func (r *Runner) engine() *engine.Engine {
 	r.engineOnce.Do(func() {
 		if r.Engine == nil {
-			r.Engine = engine.New(engine.Options{Logf: r.Logf})
+			r.Engine = engine.New(engine.Options{})
 		}
 	})
 	return r.Engine

@@ -271,13 +271,6 @@ func (rep *Report) Signature() string {
 	return b.String()
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Adapters for callers holding a bare result slice (benchmarks, older
 // tests).  Each wraps the slice in an unversioned Report and delegates
 // to the corresponding view.

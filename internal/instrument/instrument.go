@@ -124,10 +124,8 @@ func arrayKey(y expr.Var, z expr.Expr, write bool) string {
 	return "r:" + k
 }
 
-// keyVars caches the variables mentioned by each span key so
-// reassignments can invalidate exactly the right facts.
-var _ = keyVarsOf
-
+// keyVarsOf returns the variables an array access key mentions, so a
+// reassignment of any of them kills exactly the spans that depend on it.
 func keyVarsOf(y expr.Var, z expr.Expr) []expr.Var {
 	vs := map[expr.Var]bool{y: true}
 	if z != nil {

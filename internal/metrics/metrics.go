@@ -277,17 +277,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 // label, in order), creating the series on first use.
 func (v *CounterVec) With(values ...string) *Counter { return v.f.get(values).c }
 
-// GaugeVec is a gauge family keyed by label values.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers (or finds) a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.lookup(name, help, TypeGauge, labels, nil)}
-}
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.get(values).g }
-
 // HistogramVec is a histogram family keyed by label values; every
 // series shares the family's bucket layout.
 type HistogramVec struct{ f *family }

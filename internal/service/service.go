@@ -32,10 +32,9 @@
 // Concurrent sessions share one engine and therefore one bounded
 // content-addressed artifact cache: resubmitting a program skips its
 // parse/instrument/compile cost entirely.  The per-request cache
-// outcome is surfaced in the X-Bigfoot-Cache response header and the
-// aggregate counters at GET /v1/stats.  With CacheDir set, the cache's
-// rebuild manifest is persisted on graceful drain and re-derived in the
-// background on boot, so a restarted daemon answers warm.
+// outcome is surfaced in the X-Bigfoot-Cache response header, the
+// access-log line and the aggregate counters at GET /v1/stats and
+// /metrics.  The cache lives and dies with the process.
 package service
 
 import (
@@ -47,7 +46,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -72,9 +70,6 @@ const (
 	DefaultMaxQueue = 128
 )
 
-// cacheIndexName is the artifact-cache manifest file inside CacheDir.
-const cacheIndexName = "cache-index.json"
-
 // retryAfterSeconds is the Retry-After hint on 429 responses: sessions
 // are short (sub-second to a few seconds), so one second is a sane
 // client back-off unit.
@@ -82,11 +77,8 @@ const retryAfterSeconds = "1"
 
 // Config configures a Server.
 type Config struct {
-	// Engine is the session core to run on; nil constructs one with
-	// CacheSize.
-	Engine *engine.Engine
-	// CacheSize bounds the artifact cache of an internally-constructed
-	// engine (ignored when Engine is set); 0 means DefaultCacheSize.
+	// CacheSize bounds the engine's artifact cache; 0 means
+	// DefaultCacheSize.
 	CacheSize int
 	// MaxSteps caps every request's step budget; requests asking for
 	// more (or for no limit) are clamped.  0 means DefaultMaxSteps.
@@ -104,13 +96,6 @@ type Config struct {
 	// DefaultMaxQueue, negative means no queue (immediate 429 when all
 	// slots are busy).  Ignored when MaxInFlight is unlimited.
 	MaxQueue int
-	// CacheDir, when non-empty, persists the artifact cache across
-	// restarts: on graceful drain the cache's rebuild manifest (source
-	// text + build spec per resident entry — sources, not binaries, so
-	// the format survives any change to the compiled representation) is
-	// written there, and on construction the manifest is re-derived in a
-	// background goroutine (compile-once is cheap and deterministic).
-	CacheDir string
 	// TraceDir, when non-empty, records every run as compressed traces:
 	// each traced request gets a per-request subdirectory
 	// <TraceDir>/<source-hash-prefix>-s<seed> holding one .bftrace per
@@ -118,14 +103,14 @@ type Config struct {
 	// subdirectory name in the X-Bigfoot-Trace header so clients can
 	// locate their run's traces for offline replay.
 	TraceDir string
-	// Metrics receives the service's HTTP instruments and (when Engine
-	// is nil) the internally-constructed engine's instruments; the same
-	// registry is served at GET /metrics.  nil disables exposition but
-	// all instrumentation still runs against detached instruments.
+	// Metrics receives the service's HTTP instruments and the engine's
+	// instruments; the same registry is served at GET /metrics.  nil
+	// disables exposition but all instrumentation still runs against
+	// detached instruments.
 	Metrics *metrics.Registry
 	// Logger receives the structured access log (one line per request,
 	// with request ID, route, status, latency, cache disposition) and
-	// engine diagnostics at Debug.  nil discards — the server never
+	// session failures at Debug.  nil discards — the server never
 	// writes to stdout or stderr on its own.
 	Logger *slog.Logger
 }
@@ -141,9 +126,6 @@ type RunRequest struct {
 	Detectors []string `json:"detectors,omitempty"`
 	// Seed drives the deterministic thread schedule.
 	Seed int64 `json:"seed,omitempty"`
-	// Trials repeats each configuration for minimum-of-trials timing
-	// (default 1; deterministic counters are trial-invariant).
-	Trials int `json:"trials,omitempty"`
 	// MaxSteps bounds each interpreted execution, clamped to the
 	// server's cap (0 = the cap).
 	MaxSteps uint64 `json:"max_steps,omitempty"`
@@ -197,7 +179,6 @@ type Server struct {
 	eng   *engine.Engine
 	mux   *http.ServeMux
 	log   *slog.Logger
-	logf  engine.Logf
 	m     serviceMetrics
 	gate  *gate
 	start time.Time
@@ -207,10 +188,6 @@ type Server struct {
 	completed atomic.Uint64
 	failed    atomic.Uint64
 	rejected  atomic.Uint64
-
-	warmCancel context.CancelFunc
-	warmDone   chan struct{}
-	saveOnce   sync.Once
 }
 
 // New creates a Server, applying Config defaults.
@@ -233,23 +210,18 @@ func New(cfg Config) *Server {
 	if cfg.MaxQueue < 0 {
 		cfg.MaxQueue = 0 // no queue: immediate 429 at capacity
 	}
+	if cfg.CacheSize <= 0 {
+		cfg.CacheSize = DefaultCacheSize
+	}
 	log := cfg.Logger
 	if log == nil {
 		log = slog.New(slog.DiscardHandler)
 	}
-	// Engine diagnostics (cache traffic, build failures) are debug-level
-	// noise under the structured access log.
-	logf := func(format string, args ...any) { log.Debug(fmt.Sprintf(format, args...)) }
-	eng := cfg.Engine
-	if eng == nil {
-		size := cfg.CacheSize
-		if size <= 0 {
-			size = DefaultCacheSize
-		}
-		eng = engine.New(engine.Options{CacheSize: size, Logf: logf, Metrics: cfg.Metrics})
-	}
 	s := &Server{
-		cfg: cfg, eng: eng, mux: http.NewServeMux(), log: log, logf: logf,
+		cfg:   cfg,
+		eng:   engine.New(engine.Options{CacheSize: cfg.CacheSize, Metrics: cfg.Metrics}),
+		mux:   http.NewServeMux(),
+		log:   log,
 		m:     newServiceMetrics(cfg.Metrics),
 		start: time.Now(),
 		build: readBuildInfo(),
@@ -260,82 +232,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/version", s.instrument("/v1/version", s.handleVersion))
 	s.mux.HandleFunc("GET /healthz", s.instrument("/healthz", s.handleHealth))
 	s.mux.HandleFunc("GET /metrics", s.instrument("/metrics", s.handleMetrics))
-	if cfg.CacheDir != "" {
-		// Warm the artifact cache from the persisted manifest in the
-		// background: boot stays instant, and the first resubmission of
-		// a previously-built program answers X-Bigfoot-Cache: hit as
-		// soon as its rebuild lands.
-		ctx, cancel := context.WithCancel(context.Background())
-		s.warmCancel = cancel
-		s.warmDone = make(chan struct{})
-		go s.warmCache(ctx)
-	}
 	return s
-}
-
-// warmCache re-derives the artifacts named by the persisted cache
-// manifest.  Failures are diagnostics, never fatal: a missing index is
-// a first boot, and a stale source that no longer builds is skipped
-// inside engine.WarmFrom.
-func (s *Server) warmCache(ctx context.Context) {
-	defer close(s.warmDone)
-	defer func() {
-		if r := recover(); r != nil {
-			s.log.Error("cache warm-up panicked", "panic", fmt.Sprint(r))
-		}
-	}()
-	path := filepath.Join(s.cfg.CacheDir, cacheIndexName)
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return
-	}
-	if err != nil {
-		s.log.Warn("cache warm-up skipped", "err", err)
-		return
-	}
-	defer f.Close()
-	start := time.Now()
-	n, err := s.eng.WarmFrom(ctx, f)
-	if err != nil {
-		s.log.Warn("cache warm-up incomplete", "warmed", n, "err", err)
-		return
-	}
-	s.log.Info("cache warmed", "entries", n, "elapsed", time.Since(start).Round(time.Millisecond))
-}
-
-// saveCacheIndex persists the artifact cache's rebuild manifest into
-// CacheDir (atomically, via a temp file rename).  Idempotent: only the
-// first call writes, so a drain retried under a fresh context cannot
-// truncate a good index.
-func (s *Server) saveCacheIndex() {
-	s.saveOnce.Do(func() {
-		if s.cfg.CacheDir == "" || s.eng.Cache() == nil {
-			return
-		}
-		if err := os.MkdirAll(s.cfg.CacheDir, 0o755); err != nil {
-			s.log.Warn("cache index not saved", "err", err)
-			return
-		}
-		path := filepath.Join(s.cfg.CacheDir, cacheIndexName)
-		tmp, err := os.CreateTemp(s.cfg.CacheDir, cacheIndexName+".tmp")
-		if err != nil {
-			s.log.Warn("cache index not saved", "err", err)
-			return
-		}
-		n, err := s.eng.Cache().SaveIndex(tmp)
-		if cerr := tmp.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil {
-			err = os.Rename(tmp.Name(), path)
-		}
-		if err != nil {
-			os.Remove(tmp.Name())
-			s.log.Warn("cache index not saved", "err", err)
-			return
-		}
-		s.log.Info("cache index saved", "entries", n, "path", path)
-	})
 }
 
 // Engine returns the engine the server runs on (shared artifact cache).
@@ -348,23 +245,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // Drain stops admitting new sessions, rejects the queued-but-unstarted
 // ones with 503 (nothing of theirs has run), and waits until every
-// admitted session has completed or ctx expires.  With CacheDir set the
-// artifact cache's rebuild manifest is persisted afterwards — even on a
-// timed-out wait, since whatever is resident is worth warming next
-// boot.  Pair it with http.Server.Shutdown for a graceful stop.
+// admitted session has completed or ctx expires.  Pair it with
+// http.Server.Shutdown for a graceful stop.
 func (s *Server) Drain(ctx context.Context) error {
-	if s.warmCancel != nil {
-		s.warmCancel()
-		<-s.warmDone
-	}
 	s.gate.drain()
 	s.m.draining.Set(1)
-	var err error
-	if werr := s.gate.wait(ctx); werr != nil {
-		err = fmt.Errorf("drain: %d sessions still in flight: %w", s.active.Load(), werr)
+	if err := s.gate.wait(ctx); err != nil {
+		return fmt.Errorf("drain: %d sessions still in flight: %w", s.active.Load(), err)
 	}
-	s.saveCacheIndex()
-	return err
+	return nil
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -482,7 +371,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	opts := harness.Options{
 		Seed:      req.Seed,
-		Trials:    req.Trials,
 		Parallel:  1, // sessions are the unit of concurrency, not trials
 		MaxSteps:  min(orDefault(req.MaxSteps, s.cfg.MaxSteps), s.cfg.MaxSteps),
 		Detectors: names,
@@ -503,7 +391,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		ri.trace = traceLabel
 	}
 
-	runner := &harness.Runner{Opts: opts, Engine: s.eng, Logf: s.logf}
+	runner := &harness.Runner{Opts: opts, Engine: s.eng}
 	pr, err := runner.RunProgramContext(ctx, workloads.Workload{
 		Name: req.Name, Suite: "service", Source: req.Program,
 	})
@@ -547,12 +435,7 @@ func (s *Server) decodeRun(w http.ResponseWriter, r *http.Request) (*RunRequest,
 	if req.Name == "" {
 		req.Name = "program"
 	}
-	if req.Trials < 0 {
-		return nil, errors.New("trials must be >= 0")
-	}
-	// A negative timeout was once silently treated as "use the server
-	// cap", inconsistent with the Trials rule above; it is a usage
-	// error, same as negative trials.
+	// A negative timeout is a usage error, not a request for the cap.
 	if req.TimeoutMS < 0 {
 		return nil, errors.New("timeout_ms must be >= 0")
 	}

@@ -254,13 +254,6 @@ func (s *State) Words() int { return 2 + s.RV.Words() }
 // untouched again.
 func (s *State) Untouched() bool { return s.W.IsZero() && s.R.IsZero() && !s.shared() }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // ---------------------------------------------------------------------------
 // Adaptive array shadow state (SlimState / BigFoot §4)
 // ---------------------------------------------------------------------------

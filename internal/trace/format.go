@@ -48,7 +48,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"bigfoot/internal/bfj"
 	"bigfoot/internal/interp"
@@ -220,12 +219,6 @@ func (tw *Writer) Close(c interp.Counters, runErr error) error {
 	}
 	return tw.err
 }
-
-// Err returns the sticky I/O error, if any.
-func (tw *Writer) Err() error { return tw.err }
-
-// Events returns the number of events recorded so far.
-func (tw *Writer) Events() uint64 { return tw.total }
 
 func (tw *Writer) flushChunk() {
 	if tw.n == 0 || tw.err != nil {
@@ -473,7 +466,10 @@ func (tw *Writer) Finish() {
 // one *interp.Array per array id (same ID and length), one
 // *interp.FieldCheck per check site (same Index, Fields, Poss).  Those
 // are exactly the fields detectors and recorders consume, so the
-// replayed stream is observationally identical to the live one.
+// replayed stream is observationally identical to the live one.  The
+// arrays are charged as a live run charges them (length+1 words), and a
+// trace whose arrays pass interp.MaxHeapWords fails to decode: no live
+// run could have recorded it.
 type Reader struct {
 	r   *bufio.Reader
 	hdr Header
@@ -485,6 +481,8 @@ type Reader struct {
 	sites   map[uint64]*interp.FieldCheck
 	posSets [][]bfj.Pos
 	classes map[string]*bfj.Class
+
+	heapWords uint64 // words charged for the arrays decoded so far
 
 	lastT    int
 	total    uint64
@@ -544,9 +542,6 @@ func (rd *Reader) Header() Header { return rd.hdr }
 // Footer returns the trace's footer; valid only after Replay returned
 // successfully.
 func (rd *Reader) Footer() Footer { return rd.ftr }
-
-// Events returns the number of events replayed so far.
-func (rd *Reader) Events() uint64 { return rd.total }
 
 // Replay streams every recorded event into h in recorded order and
 // returns the event count.  It verifies the footer's event total, so a
@@ -706,10 +701,11 @@ func (rd *Reader) arr(d *decoder) *interp.Array {
 		return a
 	}
 	n := d.u()
-	if n > math.MaxInt32 {
-		d.fail("array length implausible")
+	if n >= interp.MaxHeapWords || n+1 > interp.MaxHeapWords-rd.heapWords {
+		d.fail(fmt.Sprintf("array of length %d takes the replayed heap past %d words (interp.MaxHeapWords)", n, interp.MaxHeapWords))
 		return nil
 	}
+	rd.heapWords += n + 1
 	a := &interp.Array{ID: int(id), Elems: make([]interp.Value, n)}
 	rd.arrs[id] = a
 	return a

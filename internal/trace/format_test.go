@@ -48,7 +48,7 @@ func recordRun(t *testing.T, src string, seed int64) (*bytes.Buffer, *Recorder, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := detector.New(detector.Config{Name: "BF", Footprints: true, Proxies: prox})
+	d := detector.New(detector.Config{Footprints: true, Proxies: prox})
 	rec := NewRecorder(0)
 	d.SetObserver(rec)
 	// Writer first (pristine hook order), recorder before detector.
@@ -86,7 +86,7 @@ func TestFormatRoundTrip(t *testing.T) {
 
 			// The replay detector is configured purely from the header —
 			// including the proxy table, round-tripped through ProxyRep.
-			dRep := detector.New(detector.Config{Name: "BF", Footprints: true, Proxies: proxy.FromPairs(hdr.ProxyRep)})
+			dRep := detector.New(detector.Config{Footprints: true, Proxies: proxy.FromPairs(hdr.ProxyRep)})
 			recRep := NewRecorder(0)
 			dRep.SetObserver(recRep)
 			n, err := rd.Replay(Tee(recRep, dRep))
@@ -170,5 +170,34 @@ func TestFormatRejectsGarbage(t *testing.T) {
 	}
 	if _, err := rd.Replay(interp.NopHook{}); err == nil {
 		t.Error("second Replay accepted")
+	}
+}
+
+// TestReplayBoundsHeap: a trace whose arrays pass interp.MaxHeapWords
+// fails to decode instead of allocating them.  No live run can record
+// such an array, so the trace is built by hand: a base run with one
+// ReadIndex on a new array of length MaxHeapWords, which charges
+// MaxHeapWords+1 words.
+func TestReplayBoundsHeap(t *testing.T) {
+	var buf bytes.Buffer
+	tw, err := NewWriter(&buf, Header{Program: "huge", Variant: "base"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw.head(opReadIndex, 1, false)
+	tw.u(1)                   // array id, first occurrence
+	tw.u(interp.MaxHeapWords) // its length
+	tw.i(0)                   // index
+	tw.pos(bfj.Pos{Line: 1, Col: 1})
+	tw.end()
+	if err := tw.Close(interp.Counters{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rd.Replay(interp.NopHook{}); err == nil || !strings.Contains(err.Error(), "MaxHeapWords") {
+		t.Fatalf("replaying an array of length %d: err %v, want the MaxHeapWords bound", interp.MaxHeapWords, err)
 	}
 }

@@ -41,7 +41,7 @@ func compileBF(t *testing.T) (*interp.Compiled, *proxy.Table) {
 // attached recorders, returning the recorders and the detector.
 func runOnce(t *testing.T, c *interp.Compiled, prox *proxy.Table, n int) ([]*Recorder, *detector.Detector) {
 	t.Helper()
-	d := detector.New(detector.Config{Name: "BF", Footprints: true, Proxies: prox})
+	d := detector.New(detector.Config{Footprints: true, Proxies: prox})
 	recs := make([]*Recorder, n)
 	hooks := []interp.Hook{d}
 	for i := range recs {
@@ -133,7 +133,7 @@ func TestRecorderDeterministic(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			d := detector.New(detector.Config{Name: "BF", Footprints: true, Proxies: prox})
+			d := detector.New(detector.Config{Footprints: true, Proxies: prox})
 			rec := NewRecorder(0)
 			d.SetObserver(rec)
 			if _, err := c.Run(Tee(d, rec), interp.Options{Seed: 3}); err != nil {
@@ -272,7 +272,7 @@ thread { for (i = 0; i < 64; i = i + 1) { x = a[i]; } }
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := detector.New(detector.Config{Name: "BF", Footprints: true, Proxies: proxy.Analyze(inst)})
+	d := detector.New(detector.Config{Footprints: true, Proxies: proxy.Analyze(inst)})
 	rec := NewRecorder(0)
 	d.SetObserver(rec)
 	if _, err := c.Run(Tee(d, rec), interp.Options{Seed: 0}); err != nil {

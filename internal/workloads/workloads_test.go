@@ -70,7 +70,7 @@ func TestBigFootInstrumentsAllWorkloads(t *testing.T) {
 		t.Run(w.Name, func(t *testing.T) {
 			prog := w.Parse()
 			big := analysis.New(prog, analysis.DefaultOptions()).Instrument()
-			d := detector.New(detector.Config{Name: "BF", Footprints: true, Proxies: proxy.Analyze(big)})
+			d := detector.New(detector.Config{Footprints: true, Proxies: proxy.Analyze(big)})
 			c, err := interp.Run(big, d, interp.Options{Seed: 1})
 			if err != nil {
 				t.Fatalf("run: %v", err)
@@ -96,7 +96,7 @@ func TestRedCardInstrumentsAllWorkloads(t *testing.T) {
 		t.Run(w.Name, func(t *testing.T) {
 			prog := w.Parse()
 			red, st := instrument.RedCard(prog)
-			d := detector.New(detector.Config{Name: "RC", Proxies: proxy.Analyze(red)})
+			d := detector.New(detector.Config{Proxies: proxy.Analyze(red)})
 			c, err := interp.Run(red, d, interp.Options{Seed: 1})
 			if err != nil {
 				t.Fatalf("run: %v", err)
