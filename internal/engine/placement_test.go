@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"bigfoot/internal/analysis"
 	"bigfoot/internal/bfgen"
 	"bigfoot/internal/bfj"
 	"bigfoot/internal/engine"
@@ -53,9 +54,16 @@ func TestPlacementGolden(t *testing.T) {
 		src := bfgen.Generate(rng, bfgen.DefaultConfig()).Source
 		lines = append(lines, placementLine(t, fmt.Sprintf("bfgen-%d", i), src))
 	}
-	got := strings.Join(lines, "\n") + "\n"
+	comparePlacementGolden(t, "testdata/placement.golden", lines)
+}
 
-	want, err := os.ReadFile("testdata/placement.golden")
+// comparePlacementGolden compares the computed placement lines with the
+// golden file, reporting the first differing lines and writing the
+// computed lines to a temporary file on a mismatch.
+func comparePlacementGolden(t *testing.T, golden string, lines []string) {
+	t.Helper()
+	got := strings.Join(lines, "\n") + "\n"
+	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +72,7 @@ func TestPlacementGolden(t *testing.T) {
 	}
 	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
 	if len(wantLines) != len(lines) {
-		t.Errorf("golden has %d programs, computed %d", len(wantLines), len(lines))
+		t.Errorf("%s has %d programs, computed %d", golden, len(wantLines), len(lines))
 	}
 	bad := 0
 	for i := 0; i < len(lines) && i < len(wantLines); i++ {
@@ -79,4 +87,78 @@ func TestPlacementGolden(t *testing.T) {
 		f.Close()
 		t.Errorf("%d programs differ; computed placements written to %s", bad, f.Name())
 	}
+}
+
+// placementAblations are the analysis options the ablation benchmarks
+// vary, by the name the extended golden file gives them.
+var placementAblations = []struct {
+	name string
+	opts analysis.Options
+}{
+	{"NoCoalescing", analysis.Options{NoCoalescing: true}},
+	{"NoAnticipation", analysis.Options{NoAnticipation: true}},
+	{"NoLoopInvariants", analysis.Options{NoLoopInvariants: true}},
+}
+
+// bfPlacementLine renders one program's BF placement under opts: a hash
+// of the instrumented program text and the checks placed and check
+// items the analysis reports.
+func bfPlacementLine(t *testing.T, name, src string, opts analysis.Options) string {
+	prog, err := bfj.Parse(src)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	an := analysis.New(prog, opts)
+	sum := sha256.Sum256([]byte(bfj.FormatProgram(an.Instrument())))
+	return fmt.Sprintf("%s BF=%s:%d/%d", name, hex.EncodeToString(sum[:8]), an.Stats.ChecksPlaced, an.Stats.CheckItems)
+}
+
+// placementNest returns a thread running a depth-d nest of counting
+// loops around one read and one write of the array element at index:
+// the nest of internal/analysis's TestLoopNestWork when index is "id".
+func placementNest(d int, index string) string {
+	var b strings.Builder
+	b.WriteString("setup { a = newarray 8; n = 4; id = 1; }\nthread {\n")
+	for k := 1; k <= d; k++ {
+		fmt.Fprintf(&b, "for (i%d = 0; i%d < n; i%d = i%d + 1) {\n", k, k, k, k)
+	}
+	fmt.Fprintf(&b, "x = a[%s];\na[%s] = x + 1;\n", index, index)
+	b.WriteString(strings.Repeat("}\n", d))
+	b.WriteString("}\n")
+	return b.String()
+}
+
+// TestPlacementGoldenExtended pins, byte for byte, the placements that
+// loop-invariant refinement decides beyond build-cold's programs: the
+// loop nests whose refinement re-analyzes inner loops most (one
+// indexing by a loop-independent variable, depths 1-8, and one indexing
+// by the outermost and innermost induction variables together, depths
+// 1-6), under the default analysis and each ablation; the 19 workloads
+// at a larger scale; and the 19 workloads under each ablation.  Like
+// TestPlacementGolden it names a temporary file holding the computed
+// lines on a mismatch.
+func TestPlacementGoldenExtended(t *testing.T) {
+	var lines []string
+	var nests [][2]string
+	for d := 1; d <= 8; d++ {
+		nests = append(nests, [2]string{fmt.Sprintf("nest-%d", d), placementNest(d, "id")})
+	}
+	for d := 1; d <= 6; d++ {
+		nests = append(nests, [2]string{fmt.Sprintf("nest-mixed-%d", d), placementNest(d, fmt.Sprintf("i1 + i%d", d))})
+	}
+	for _, n := range nests {
+		lines = append(lines, placementLine(t, n[0], n[1]))
+		for _, ab := range placementAblations {
+			lines = append(lines, bfPlacementLine(t, n[0]+"/"+ab.name, n[1], ab.opts))
+		}
+	}
+	for _, w := range workloads.All(workloads.Scale{N: 3, T: 4}) {
+		lines = append(lines, placementLine(t, w.Name+"@N3", w.Source))
+	}
+	for _, w := range workloads.All(workloads.DefaultScale()) {
+		for _, ab := range placementAblations {
+			lines = append(lines, bfPlacementLine(t, w.Name+"/"+ab.name, w.Source, ab.opts))
+		}
+	}
+	comparePlacementGolden(t, "testdata/placement_extended.golden", lines)
 }
