@@ -451,8 +451,26 @@ func (p *pass1) stmt(s bfj.Stmt, h History) History {
 // shrinks a finite set, so the loop always leaves through that test, and
 // the converging iteration ran with the final invariant: the states it
 // stored for the body's blocks and inner loops are the final ones.
+//
+// An enclosing loop's refinement analyzes this loop once per iteration,
+// each time from a weaker entry history.  A weaker entry can only
+// shrink the greatest invariant (Houdini), so a re-analysis starts from
+// the fresh candidates that the last converged invariant kept, and
+// usually converges in one iteration: pass 1 then grows quadratically
+// with nesting depth instead of doubling per level.  Exactness would
+// need entailment to be monotone, which the solver's elimination caps
+// do not guarantee; the placement goldens check it empirically.
 func (p *pass1) loop(lp *bfj.Loop, hin History) History {
 	candidates := p.invariantCandidates(lp, hin)
+	if last, ok := p.loopInv[lp]; ok {
+		kept := candidates[:0]
+		for _, c := range candidates {
+			if last.hasKey(c.Key()) {
+				kept = append(kept, c)
+			}
+		}
+		candidates = kept
+	}
 	for {
 		p.a.Stats.Work.Iterations[0]++
 		hinv := hin.withFacts(candidates...)

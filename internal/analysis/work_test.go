@@ -23,24 +23,33 @@ func loopNest(d int) string {
 }
 
 // TestLoopNestWork pins how the analysis's work grows with loop depth.
-// Pass 1 refines each loop's invariant in two iterations, each of which
-// analyzes the whole inner nest, so its block analyses double per level:
-// f(d) = 2f(d-1) + 5, counting the body blocks and the branches of the
-// `if` a for loop lowers to.  Analyzing each converged loop once more
-// would make that ×3 (9, 33, 105, ...).  Passes 2 and 3 converge each
-// loop in one iteration here and grow linearly.
+// Pass 1 refines each loop's invariant; an enclosing loop's refinement
+// re-analyzes the inner nest once per iteration, and each re-analysis
+// starts from the inner loop's last converged invariant, so it
+// converges in one iteration.  Counting the body blocks and the
+// branches of the `if` a for loop lowers to, pass 1 does 2d²+4d+1 block
+// analyses at depth d.  Restarting every refinement from all candidates
+// instead made that f(d) = 2f(d-1) + 5, doubling per level (1,531 at
+// depth 8, 24,571 at depth 12).  Passes 2 and 3 converge each loop in
+// one iteration here and grow linearly.
 func TestLoopNestWork(t *testing.T) {
-	want := [][3]int{
-		{7, 5, 5}, {19, 9, 9}, {43, 13, 13},
-		{91, 17, 17}, {187, 21, 21}, {379, 25, 25},
+	want := []struct {
+		depth  int
+		blocks [3]int
+	}{
+		{1, [3]int{7, 5, 5}}, {2, [3]int{17, 9, 9}}, {3, [3]int{31, 13, 13}},
+		{4, [3]int{49, 17, 17}}, {5, [3]int{71, 21, 21}}, {6, [3]int{97, 25, 25}},
+		{8, [3]int{161, 33, 33}}, {12, [3]int{337, 49, 49}},
 	}
-	for i, w := range want {
-		d := i + 1
-		an := New(bfj.MustParse(loopNest(d)), DefaultOptions())
+	for _, w := range want {
+		an := New(bfj.MustParse(loopNest(w.depth)), DefaultOptions())
 		an.Instrument()
-		if got := an.Stats.Work.Blocks; got != w {
+		wk := an.Stats.Work
+		t.Logf("depth %2d: blocks %v iterations %v solvers %d queries %d",
+			w.depth, wk.Blocks, wk.Iterations, wk.Solvers, wk.Queries)
+		if got := wk.Blocks; got != w.blocks {
 			t.Errorf("depth %d: block analyses by pass = %v, want %v (iterations %v)",
-				d, got, w, an.Stats.Work.Iterations)
+				w.depth, got, w.blocks, an.Stats.Work.Iterations)
 		}
 	}
 }

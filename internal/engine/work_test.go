@@ -28,10 +28,10 @@ func TestAnalysisWork(t *testing.T) {
 		t.Logf("%-10s blocks %v iterations %v solvers %d queries %d",
 			w.Name, st.Work.Blocks, st.Work.Iterations, st.Work.Solvers, st.Work.Queries)
 	}
-	if want := [3]int{503, 447, 239}; total != want {
+	if want := [3]int{417, 447, 239}; total != want {
 		t.Errorf("block analyses by pass, 19 workloads = %v, want %v", total, want)
 	}
-	if want := [3]int{99, 83, 25}; sor.Work.Blocks != want {
+	if want := [3]int{57, 83, 25}; sor.Work.Blocks != want {
 		t.Errorf("block analyses by pass, sor = %v, want %v", sor.Work.Blocks, want)
 	}
 }

@@ -23,9 +23,12 @@ func StepConst(e expr.Expr) (int64, bool) {
 
 // Subsumes reports whether super ⊇ target under s.
 func Subsumes(s *entail.Solver, super, target expr.StridedRange) bool {
-	if Empty(s, target) {
-		return true
-	}
+	return Empty(s, target) || subsumesNonEmpty(s, super, target)
+}
+
+// subsumesNonEmpty is Subsumes for a target the caller has already
+// failed to prove empty: it leaves out the emptiness query.
+func subsumesNonEmpty(s *entail.Solver, super, target expr.StridedRange) bool {
 	if !s.ProveLe(super.Lo, target.Lo) || !s.ProveLe(target.Hi, super.Hi) {
 		return false
 	}
@@ -72,7 +75,7 @@ func Covered(s *entail.Solver, target expr.StridedRange, pieces []expr.StridedRa
 		return true
 	}
 	for _, r := range pieces {
-		if Subsumes(s, r, target) {
+		if subsumesNonEmpty(s, r, target) {
 			return true
 		}
 	}

@@ -135,6 +135,31 @@ func TestCoveredStridedLoopShape(t *testing.T) {
 	}
 }
 
+// TestCoveredQueries pins the entailment queries Covered asks when no
+// piece helps: k pieces that lie above a non-empty target.  Covered asks
+// whether the target is empty once, then for each piece whether it
+// starts at or below the target (subsumption), then, chaining from the
+// target's start, whether the cursor has reached the target's end and
+// again whether each piece starts at or below the cursor, and finally
+// once more whether the cursor has reached the end: 2k+3 queries.
+// Asking the target's emptiness again for every piece would make it
+// 3k+3.
+func TestCoveredQueries(t *testing.T) {
+	for _, k := range []int{1, 4, 16} {
+		var pieces []expr.StridedRange
+		for j := 0; j < k; j++ {
+			pieces = append(pieces, rng(int64(200+10*j), int64(205+10*j), 1))
+		}
+		s := solver()
+		if Covered(s, rng(0, 100, 1), pieces) {
+			t.Fatalf("k=%d: pieces above the target cover it", k)
+		}
+		if got, want := s.Queries(), 2*k+3; got != want {
+			t.Errorf("k=%d: Covered asked %d queries, want %d", k, got, want)
+		}
+	}
+}
+
 func TestExactUnion(t *testing.T) {
 	s := solver()
 	if !ExactUnion(s, rng(0, 20, 1), []expr.StridedRange{rng(0, 10, 1), rng(10, 20, 1)}) {
