@@ -286,6 +286,7 @@ func (e *Engine) BuildAST(base *bfj.Program, spec BuildSpec) (*Artifact, error) 
 		case "BF":
 			placements[n] = InstrumentFor(base, "BF")
 			art.Stats = placements[n].Stats
+			e.observeAnalysis(art.Stats.Work)
 		}
 	}
 	art.Timings.Instrument = time.Since(instStart)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bigfoot/internal/analysis"
 	"bigfoot/internal/metrics"
 )
 
@@ -9,10 +10,11 @@ import (
 // when Options.Metrics is nil — so the run path never nil-checks.
 //
 // Determinism contract: every counter here is folded in from a
-// completed Outcome after the run returns (observeRun), never sampled
-// inside hook callbacks.  The detector check hot path stays 0 allocs
-// and untouched, and harness signatures are byte-identical whether or
-// not a registry is attached.
+// completed Outcome after the run returns (observeRun), or from a
+// completed BF placement (observeAnalysis), never sampled inside hook
+// callbacks or the analysis passes.  The detector check hot path stays
+// 0 allocs and untouched, and harness signatures are byte-identical
+// whether or not a registry is attached.
 type engineMetrics struct {
 	buildSeconds *metrics.HistogramVec // variant (incl. "base")
 	runSeconds   *metrics.HistogramVec // variant (incl. "base")
@@ -26,6 +28,9 @@ type engineMetrics struct {
 	footOps    *metrics.CounterVec // variant
 	races      *metrics.CounterVec // variant
 	fastHits   *metrics.CounterVec // variant, path
+
+	analysisBlocks  *metrics.CounterVec // pass
+	analysisQueries *metrics.Counter
 }
 
 func newEngineMetrics(r *metrics.Registry) engineMetrics {
@@ -56,7 +61,25 @@ func newEngineMetrics(r *metrics.Registry) engineMetrics {
 		fastHits: r.CounterVec("bigfoot_engine_fastpath_hits_total",
 			"detector fast-path hits and adaptive read-metadata transitions by path (same_epoch_read, same_epoch_write, owned_read, owned_write, lock_owner, read_promotion, read_demotion), folded in at run end",
 			"variant", "path"),
+		analysisBlocks: r.CounterVec("bigfoot_engine_analysis_blocks_total",
+			"StaticBF block analyses by pass (1 history, 2 anticipation, 3 placement), folded in after each BF placement a build computes",
+			"pass"),
+		analysisQueries: r.Counter("bigfoot_engine_analysis_queries_total",
+			"entailment queries StaticBF's solvers answered, folded in after each BF placement a build computes"),
 	}
+}
+
+// analysisPasses labels the analysis passes in Work.Blocks order.
+var analysisPasses = [3]string{"1", "2", "3"}
+
+// observeAnalysis folds one BF placement's analysis work into the
+// registry.  BuildAST calls it once per placement it computes, so a
+// cache hit, which computes none, never re-observes.
+func (e *Engine) observeAnalysis(w analysis.Work) {
+	for i, n := range w.Blocks {
+		e.m.analysisBlocks.With(analysisPasses[i]).Add(float64(n))
+	}
+	e.m.analysisQueries.Add(float64(w.Queries))
 }
 
 // outcomeClass classifies one finished run for the runs_total counter.

@@ -83,6 +83,14 @@ func TestEngineObservesRuns(t *testing.T) {
 	if got := seriesCount(snap, "bigfoot_engine_build_seconds", "variant", "BF"); got != 1 {
 		t.Errorf("build_seconds{BF} count = %d, want 1 (cache hit must not re-observe)", got)
 	}
+	for i, pass := range []string{"1", "2", "3"} {
+		if got, want := seriesValue(snap, "bigfoot_engine_analysis_blocks_total", "pass", pass), art.Stats.Work.Blocks[i]; got != float64(want) || want == 0 {
+			t.Errorf("analysis_blocks_total{pass=%s} = %v, want %d (cache hit must not re-observe)", pass, got, want)
+		}
+	}
+	if got, want := seriesValue(snap, "bigfoot_engine_analysis_queries_total"), art.Stats.Work.Queries; got != float64(want) || want == 0 {
+		t.Errorf("analysis_queries_total = %v, want %d (cache hit must not re-observe)", got, want)
+	}
 	if got := seriesValue(snap, "bigfoot_engine_steps_total", "variant", "BF"); got != float64(out.Counters.Steps) {
 		t.Errorf("steps_total{BF} = %v, want %d", got, out.Counters.Steps)
 	}
