@@ -1,37 +1,23 @@
 package analysis
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
+	"bigfoot/internal/bfgen"
 	"bigfoot/internal/bfj"
 )
 
-// loopNest returns a thread running a depth-d nest of counting loops
-// around one read and one write of the same array element.
-func loopNest(d int) string {
-	var b strings.Builder
-	b.WriteString("setup { a = newarray 8; n = 4; id = 1; }\nthread {\n")
-	for k := 1; k <= d; k++ {
-		fmt.Fprintf(&b, "for (i%d = 0; i%d < n; i%d = i%d + 1) {\n", k, k, k, k)
-	}
-	b.WriteString("x = a[id];\na[id] = x + 1;\n")
-	b.WriteString(strings.Repeat("}\n", d))
-	b.WriteString("}\n")
-	return b.String()
-}
-
-// TestLoopNestWork pins how the analysis's work grows with loop depth.
+// TestLoopNestWork pins how the analysis's work grows with the depth of
+// bfgen.LoopNest's nest, indexed by the loop-independent id.
 // Pass 1 refines each loop's invariant; an enclosing loop's refinement
 // re-analyzes the inner nest once per iteration, and each re-analysis
 // starts from the inner loop's last converged invariant, so it
 // converges in one iteration.  Counting the body blocks and the
 // branches of the `if` a for loop lowers to, pass 1 does 2d²+4d+1 block
-// analyses at depth d.  Restarting every refinement from all candidates
-// instead made that f(d) = 2f(d-1) + 5, doubling per level (1,531 at
-// depth 8, 24,571 at depth 12).  Passes 2 and 3 converge each loop in
-// one iteration here and grow linearly.
+// analyses at depth d.  A refinement that restarts from all candidates
+// instead doubles per level, f(d) = 2f(d-1) + 5: 1,531 at depth 8 and
+// 24,571 at depth 12.  Passes 2 and 3 converge each loop in one
+// iteration here and grow linearly.
 func TestLoopNestWork(t *testing.T) {
 	want := []struct {
 		depth  int
@@ -42,14 +28,14 @@ func TestLoopNestWork(t *testing.T) {
 		{8, [3]int{161, 33, 33}}, {12, [3]int{337, 49, 49}},
 	}
 	for _, w := range want {
-		an := New(bfj.MustParse(loopNest(w.depth)), DefaultOptions())
+		an := New(bfj.MustParse(bfgen.LoopNest(w.depth, "id")), DefaultOptions())
 		an.Instrument()
 		wk := an.Stats.Work
 		t.Logf("depth %2d: blocks %v iterations %v solvers %d queries %d",
 			w.depth, wk.Blocks, wk.Iterations, wk.Solvers, wk.Queries)
 		if got := wk.Blocks; got != w.blocks {
 			t.Errorf("depth %d: block analyses by pass = %v, want %v (iterations %v)",
-				w.depth, got, w.blocks, an.Stats.Work.Iterations)
+				w.depth, got, w.blocks, wk.Iterations)
 		}
 	}
 }

@@ -217,6 +217,23 @@ func (p *Program) Serialized() string {
 	return render([][]string{all}, "", "")
 }
 
+// LoopNest renders a program whose one thread runs a depth-d nest of
+// counting loops, i1 outermost, around one read and one write of the
+// array element at index, an expression over id, n and i1..id.  An
+// enclosing loop's invariant refinement re-analyzes every loop inside
+// it, so the nest measures how StaticBF's work grows with depth.
+func LoopNest(d int, index string) string {
+	var b strings.Builder
+	b.WriteString("setup { a = newarray 8; n = 4; id = 1; }\nthread {\n")
+	for k := 1; k <= d; k++ {
+		fmt.Fprintf(&b, "for (i%d = 0; i%d < n; i%d = i%d + 1) {\n", k, k, k, k)
+	}
+	fmt.Fprintf(&b, "x = a[%s];\na[%s] = x + 1;\n", index, index)
+	b.WriteString(strings.Repeat("}\n", d))
+	b.WriteString("}\n")
+	return b.String()
+}
+
 func render(threads [][]string, pre, post string) string {
 	var b strings.Builder
 	b.WriteString(prelude)

@@ -89,17 +89,6 @@ func comparePlacementGolden(t *testing.T, golden string, lines []string) {
 	}
 }
 
-// placementAblations are the analysis options the ablation benchmarks
-// vary, by the name the extended golden file gives them.
-var placementAblations = []struct {
-	name string
-	opts analysis.Options
-}{
-	{"NoCoalescing", analysis.Options{NoCoalescing: true}},
-	{"NoAnticipation", analysis.Options{NoAnticipation: true}},
-	{"NoLoopInvariants", analysis.Options{NoLoopInvariants: true}},
-}
-
 // bfPlacementLine renders one program's BF placement under opts: a hash
 // of the instrumented program text and the checks placed and check
 // items the analysis reports.
@@ -113,42 +102,35 @@ func bfPlacementLine(t *testing.T, name, src string, opts analysis.Options) stri
 	return fmt.Sprintf("%s BF=%s:%d/%d", name, hex.EncodeToString(sum[:8]), an.Stats.ChecksPlaced, an.Stats.CheckItems)
 }
 
-// placementNest returns a thread running a depth-d nest of counting
-// loops around one read and one write of the array element at index:
-// the nest of internal/analysis's TestLoopNestWork when index is "id".
-func placementNest(d int, index string) string {
-	var b strings.Builder
-	b.WriteString("setup { a = newarray 8; n = 4; id = 1; }\nthread {\n")
-	for k := 1; k <= d; k++ {
-		fmt.Fprintf(&b, "for (i%d = 0; i%d < n; i%d = i%d + 1) {\n", k, k, k, k)
-	}
-	fmt.Fprintf(&b, "x = a[%s];\na[%s] = x + 1;\n", index, index)
-	b.WriteString(strings.Repeat("}\n", d))
-	b.WriteString("}\n")
-	return b.String()
-}
-
 // TestPlacementGoldenExtended pins, byte for byte, the placements that
-// loop-invariant refinement decides beyond build-cold's programs: the
-// loop nests whose refinement re-analyzes inner loops most (one
-// indexing by a loop-independent variable, depths 1-8, and one indexing
-// by the outermost and innermost induction variables together, depths
-// 1-6), under the default analysis and each ablation; the 19 workloads
-// at a larger scale; and the 19 workloads under each ablation.  Like
+// loop-invariant refinement decides beyond build-cold's programs:
+// bfgen.LoopNest's nests, whose refinement re-analyzes inner loops most
+// (indexed by the loop-independent id at depths 1-8, and by the
+// outermost plus the innermost induction variable at depths 1-6), under
+// the default analysis and each ablation; the 19 workloads at a larger
+// scale; and the 19 workloads under each ablation.  Like
 // TestPlacementGolden it names a temporary file holding the computed
 // lines on a mismatch.
 func TestPlacementGoldenExtended(t *testing.T) {
+	ablations := []struct {
+		name string
+		opts analysis.Options
+	}{
+		{"NoCoalescing", analysis.Options{NoCoalescing: true}},
+		{"NoAnticipation", analysis.Options{NoAnticipation: true}},
+		{"NoLoopInvariants", analysis.Options{NoLoopInvariants: true}},
+	}
 	var lines []string
 	var nests [][2]string
 	for d := 1; d <= 8; d++ {
-		nests = append(nests, [2]string{fmt.Sprintf("nest-%d", d), placementNest(d, "id")})
+		nests = append(nests, [2]string{fmt.Sprintf("nest-%d", d), bfgen.LoopNest(d, "id")})
 	}
 	for d := 1; d <= 6; d++ {
-		nests = append(nests, [2]string{fmt.Sprintf("nest-mixed-%d", d), placementNest(d, fmt.Sprintf("i1 + i%d", d))})
+		nests = append(nests, [2]string{fmt.Sprintf("nest-mixed-%d", d), bfgen.LoopNest(d, fmt.Sprintf("i1 + i%d", d))})
 	}
 	for _, n := range nests {
 		lines = append(lines, placementLine(t, n[0], n[1]))
-		for _, ab := range placementAblations {
+		for _, ab := range ablations {
 			lines = append(lines, bfPlacementLine(t, n[0]+"/"+ab.name, n[1], ab.opts))
 		}
 	}
@@ -156,7 +138,7 @@ func TestPlacementGoldenExtended(t *testing.T) {
 		lines = append(lines, placementLine(t, w.Name+"@N3", w.Source))
 	}
 	for _, w := range workloads.All(workloads.DefaultScale()) {
-		for _, ab := range placementAblations {
+		for _, ab := range ablations {
 			lines = append(lines, bfPlacementLine(t, w.Name+"/"+ab.name, w.Source, ab.opts))
 		}
 	}

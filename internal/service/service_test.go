@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"bigfoot/internal/bfgen"
 	"bigfoot/internal/harness"
 	"bigfoot/internal/metrics"
 )
@@ -290,43 +291,29 @@ func TestHugeArrayKeepsServing(t *testing.T) {
 	}
 }
 
-// loopNest returns a thread running a depth-d nest of counting loops
-// around one read and one write of the same array element.
-func loopNest(d int) string {
-	var b strings.Builder
-	b.WriteString("setup { a = newarray 8; n = 4; id = 1; }\nthread {\n")
-	for k := 1; k <= d; k++ {
-		fmt.Fprintf(&b, "for (i%d = 0; i%d < n; i%d = i%d + 1) {\n", k, k, k, k)
-	}
-	b.WriteString("x = a[id];\na[id] = x + 1;\n")
-	b.WriteString(strings.Repeat("}\n", d))
-	b.WriteString("}\n")
-	return b.String()
-}
-
 // TestLoopNestDoesNotWedge: a build takes no context, so a session
-// holds its admission slot until StaticBF returns.  When pass 1's work
-// doubled per level of loop nesting, this 588-byte depth-13 nest held
-// the only slot for about 7 s past its 500 ms budget, and the request
-// queued behind it expired.  The nest must get its 408 within 2 s, and
+// holds its admission slot until StaticBF returns.  If pass 1's work
+// doubles per level of loop nesting, this 588-byte depth-13 nest holds
+// the only slot for seconds past its 500 ms budget, and the request
+// queued behind it expires.  The nest must get its 408 within 2 s, and
 // the race-free request sent 0.2 s after it must run.
 func TestLoopNestDoesNotWedge(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxInFlight: 1})
-	nest := loopNest(13)
+	nest := bfgen.LoopNest(13, "id")
 	if len(nest) != 588 {
 		t.Fatalf("nest is %d bytes, want 588", len(nest))
 	}
 
 	type reply struct {
 		status  int
-		code    string
+		data    []byte
 		elapsed time.Duration
 	}
 	nestDone := make(chan reply, 1)
 	start := time.Now()
 	go func() {
 		resp, data := postRun(t, ts.URL, RunRequest{Name: "nest", Program: nest, Detectors: []string{"BF"}, TimeoutMS: 500})
-		nestDone <- reply{resp.StatusCode, errorCode(t, data), time.Since(start)}
+		nestDone <- reply{resp.StatusCode, data, time.Since(start)}
 	}()
 	waitUntil(t, func() bool { return s.active.Load() == 1 })
 	time.Sleep(200*time.Millisecond - time.Since(start))
@@ -340,8 +327,8 @@ func TestLoopNestDoesNotWedge(t *testing.T) {
 	n := <-nestDone
 	t.Logf("nest: %d after %s; queued request: %d after %s", n.status, n.elapsed.Round(time.Millisecond),
 		resp.StatusCode, queued.Round(time.Millisecond))
-	if n.status != http.StatusRequestTimeout || n.code != "budget" {
-		t.Errorf("nest: status %d %q, want 408 budget", n.status, n.code)
+	if n.status != http.StatusRequestTimeout || errorCode(t, n.data) != "budget" {
+		t.Errorf("nest: status %d, want 408 budget (%.200s)", n.status, n.data)
 	}
 	if n.elapsed > 2*time.Second {
 		t.Errorf("nest answered after %s, want within 2s", n.elapsed.Round(time.Millisecond))
