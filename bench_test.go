@@ -180,7 +180,7 @@ func ablate(b *testing.B, base *bfj.Program) {
 		name string
 		opts analysis.Options
 	}{
-		{"Full", analysis.DefaultOptions()},
+		{"Full", analysis.Options{}},
 		{"NoCoalescing", analysis.Options{NoCoalescing: true}},
 		{"NoAnticipation", analysis.Options{NoAnticipation: true}},
 		{"NoLoopInvariants", analysis.Options{NoLoopInvariants: true}},
@@ -223,7 +223,7 @@ func BenchmarkStaticAnalysis(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bodies = 0
 		for _, p := range progs {
-			an := analysis.New(p, analysis.DefaultOptions())
+			an := analysis.New(p, analysis.Options{})
 			_ = an.Instrument()
 			bodies += an.Stats.BodiesAnalyzed
 		}
@@ -293,7 +293,7 @@ thread {
 }`
 	prog := bfj.MustParse(src)
 	for i := 0; i < b.N; i++ {
-		an := analysis.New(prog, analysis.DefaultOptions())
+		an := analysis.New(prog, analysis.Options{})
 		_ = an.Instrument()
 	}
 }

@@ -16,7 +16,7 @@ func instrumentThread(t *testing.T, src string) string {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	a := New(prog, DefaultOptions())
+	a := New(prog, Options{})
 	out := a.AnalyzeBody(prog.Threads[0], nil)
 	return bfj.FormatBlock(out, 0)
 }
@@ -161,7 +161,7 @@ class Point {
 setup { p = new Point; }
 thread { p.move(1, 1, 1); }`
 	prog := bfj.MustParse(src)
-	a := New(prog, DefaultOptions())
+	a := New(prog, Options{})
 	m := prog.LookupMethod("Point", "move")
 	out := a.AnalyzeBody(m.Body, m.Params)
 	text := bfj.FormatBlock(out, 0)
@@ -200,7 +200,7 @@ class Driver {
 setup { d = new Driver; }
 thread { }`
 	prog := bfj.MustParse(src)
-	a := New(prog, DefaultOptions())
+	a := New(prog, Options{})
 	m := prog.LookupMethod("Driver", "movePts")
 	out := a.AnalyzeBody(m.Body, m.Params)
 	text := bfj.FormatBlock(out, 0)
@@ -359,7 +359,7 @@ thread {
   release lock;
 }`
 	prog := bfj.MustParse(src)
-	a := New(prog, DefaultOptions())
+	a := New(prog, Options{})
 	ctxs, renamed := a.AnalyzeContexts(prog.Threads[0], nil)
 	// Find the statement indices in the renamed body.
 	var readY, acq2 = -1, -1
@@ -400,5 +400,39 @@ thread {
 	}
 	if ctxs[acq2].A.Len() != 0 {
 		t.Errorf("anticipated set before acquire should be empty: %v", ctxs[acq2].A)
+	}
+}
+
+// TestSolverTableSharesSolvers: within one body, histories with the
+// same boolean facts share one solver (and its query caches), however
+// they were derived; histories outside a body analysis build their own.
+func TestSolverTableSharesSolvers(t *testing.T) {
+	iPos := BoolFact{E: expr.Ge(expr.V("i"), expr.I(0))}
+	jEq := BoolFact{E: expr.Eq(expr.V("j"), expr.Add(expr.V("i"), expr.I(1)))}
+	acc := AccessFact{Kind: bfj.Read, Path: expr.NewFieldPath("p", "f")}
+
+	root := bodyHistory(newSolverTable())
+	h1 := root.Add(iPos, jEq)
+	h2 := root.Add(jEq).Add(acc).Add(iPos)
+	if h1.Solver() != h2.Solver() {
+		t.Error("histories with the same boolean facts built different solvers")
+	}
+	h3 := h1.Filter(func(f Fact) bool { return f != Fact(jEq) })
+	if h3.Solver() == h1.Solver() {
+		t.Error("histories with different boolean facts share a solver")
+	}
+	if h4 := h2.Filter(func(f Fact) bool { _, isBool := f.(BoolFact); return isBool }); h4.Solver() != h1.Solver() {
+		t.Error("dropping an access fact changed the solver")
+	}
+	if !h2.Solver().ProveLt(expr.V("i"), expr.V("j")) {
+		t.Error("shared solver lost the facts")
+	}
+
+	other := bodyHistory(newSolverTable()).Add(iPos, jEq)
+	if other.Solver() == h1.Solver() {
+		t.Error("two bodies share a solver")
+	}
+	if NewHistory(iPos, jEq).Solver() == NewHistory(iPos, jEq).Solver() {
+		t.Error("histories outside a body share a solver")
 	}
 }

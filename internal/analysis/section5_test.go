@@ -320,8 +320,8 @@ thread {
   release l;
 }`
 	prog := bfj.MustParse(src)
-	t1 := bfj.FormatProgram(New(prog, DefaultOptions()).Instrument())
-	t2 := bfj.FormatProgram(New(prog, DefaultOptions()).Instrument())
+	t1 := bfj.FormatProgram(New(prog, Options{}).Instrument())
+	t2 := bfj.FormatProgram(New(prog, Options{}).Instrument())
 	if t1 != t2 {
 		t.Errorf("non-deterministic instrumentation:\n--- first\n%s\n--- second\n%s", t1, t2)
 	}

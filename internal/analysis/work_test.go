@@ -28,7 +28,7 @@ func TestLoopNestWork(t *testing.T) {
 		{8, [3]int{161, 33, 33}}, {12, [3]int{337, 49, 49}},
 	}
 	for _, w := range want {
-		an := New(bfj.MustParse(bfgen.LoopNest(w.depth, "id")), DefaultOptions())
+		an := New(bfj.MustParse(bfgen.LoopNest(w.depth, "id")), Options{})
 		an.Instrument()
 		wk := an.Stats.Work
 		t.Logf("depth %2d: blocks %v iterations %v solvers %d queries %d",

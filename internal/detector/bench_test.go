@@ -35,7 +35,7 @@ thread { acquire l; p.f = 1; p.g = 2; p.h = 3; p.k = 4; release l; }
 thread { acquire l; t = p.f + p.g + p.h + p.k; p.f = t; release l; }
 `
 	base := bfj.MustParse(src)
-	big := analysis.New(base, analysis.DefaultOptions()).Instrument()
+	big := analysis.New(base, analysis.Options{}).Instrument()
 	prox := proxy.Analyze(big)
 	if prox.FieldsCompressed == 0 {
 		tb.Fatal("bench workload produced no field compression")

@@ -48,12 +48,6 @@ type Config struct {
 	// synchronization operations, with adaptively compressed array
 	// shadow state (SlimState §4).
 	Footprints bool
-	// PeriodicCommit, when positive, additionally commits a thread's
-	// footprint after that many appended checks — the §3.3 mitigation
-	// for potentially non-terminating loops, whose deferred checks
-	// would otherwise never commit.  0 disables (the paper's default:
-	// loops are assumed to terminate).
-	PeriodicCommit int
 	// Proxies enables static field proxy compression; nil disables.
 	Proxies *proxy.Table
 	// DisableFastPaths turns off the SmartTrack-style epoch-level fast
@@ -510,11 +504,7 @@ func (d *Detector) CheckField(t int, write bool, o *interp.Object, fc *interp.Fi
 func (d *Detector) CheckRange(t int, write bool, a *interp.Array, lo, hi, step int, poss []bfj.Pos) {
 	pos := firstPos(poss)
 	if d.cfg.Footprints {
-		f := d.fp(t)
-		f.Add(a, lo, hi, step, write, pos)
-		if d.cfg.PeriodicCommit > 0 && f.AppendOps >= uint64(d.cfg.PeriodicCommit) {
-			d.commit(t)
-		}
+		d.fp(t).Add(a, lo, hi, step, write, pos)
 		return
 	}
 	// Fine-grained mode (FT/RC): one shadow location per element, with

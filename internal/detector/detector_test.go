@@ -28,7 +28,7 @@ func buildVariants(t *testing.T, src string) []variant {
 	}
 	every, _ := instrument.EveryAccess(base)
 	red, _ := instrument.RedCard(base)
-	big := analysis.New(base, analysis.DefaultOptions()).Instrument()
+	big := analysis.New(base, analysis.Options{}).Instrument()
 
 	redProx := proxy.Analyze(red)
 	bigProx := proxy.Analyze(big)
@@ -322,7 +322,7 @@ setup { c = new Cell; c.v = 0; }
 thread { c.v = 1; }
 thread { c.v = 2; }
 `)
-	big := analysis.New(prog, analysis.DefaultOptions()).Instrument()
+	big := analysis.New(prog, analysis.Options{}).Instrument()
 	d := New(Config{Footprints: true, Proxies: proxy.Analyze(big)})
 	if _, err := interp.Run(big, d, interp.Options{Seed: 0}); err != nil {
 		fmt.Println("error:", err)
@@ -378,111 +378,6 @@ thread { for (i = 0; i < 64; i = i + 2) { a[i] = 2; } }
 				t.Errorf("%s seed %d: strided race missed", v.name, seed)
 			}
 		}
-	}
-}
-
-// TestPeriodicCommitBoundsDeferral: with PeriodicCommit set, a race in
-// a long-running loop is reported even though the thread never reaches
-// another synchronization operation (§3.3's mitigation for potentially
-// non-terminating loops).
-func TestPeriodicCommitBoundsDeferral(t *testing.T) {
-	// Both threads hammer the same array slot inside loops with no sync
-	// after their first checks; the only commits after that come from
-	// the periodic policy.
-	src := `
-setup { a = newarray 8; }
-thread { for (i = 0; i < 5000; i = i + 1) { a[i % 8] = i; } }
-thread { for (i = 0; i < 5000; i = i + 1) { a[i % 8] = i; } }
-`
-	base := bfj.MustParse(src)
-	big := analysis.New(base, analysis.DefaultOptions()).Instrument()
-	prox := proxy.Analyze(big)
-	d := New(Config{Footprints: true, Proxies: prox, PeriodicCommit: 64})
-	o := NewOracle()
-	if _, err := interp.Run(big, trace.Tee(d, o), interp.Options{Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if o.HasRaces() && d.RaceCount() == 0 {
-		t.Error("periodic commit should surface the in-loop race")
-	}
-	// And it must not introduce false alarms on a clean program.
-	clean := bfj.MustParse(`
-setup { a = newarray 64; }
-thread { for (i = 0; i < 32; i = i + 1) { a[i] = i; } }
-thread { for (i = 32; i < 64; i = i + 1) { a[i] = i; } }
-`)
-	bigC := analysis.New(clean, analysis.DefaultOptions()).Instrument()
-	dc := New(Config{Footprints: true, Proxies: proxy.Analyze(bigC), PeriodicCommit: 4})
-	if _, err := interp.Run(bigC, dc, interp.Options{Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if dc.RaceCount() != 0 {
-		t.Errorf("periodic commit caused false alarms: %v", dc.SortedRaceDescs())
-	}
-}
-
-// TestPeriodicCommitDeterministicCounters pins the §3.3 mitigation as a
-// usable configuration: on a workload whose only synchronization is
-// thread start/end, every mid-loop commit comes from the periodic
-// policy, races must still surface, and the cost counters the harness
-// reports (shadow ops, footprint ops, sync ops, peak words, races) must
-// be identical run over run so benchmark trajectories stay comparable.
-func TestPeriodicCommitDeterministicCounters(t *testing.T) {
-	// Two threads sweep overlapping halves of one array inside long
-	// loops with no locking; the overlap [256,512) is racy.
-	src := `
-setup { a = newarray 768; }
-thread { for (i = 0; i < 512; i = i + 1) { a[i] = i; } }
-thread { for (i = 256; i < 768; i = i + 1) { a[i] = i; } }
-`
-	base := bfj.MustParse(src)
-	big := analysis.New(base, analysis.DefaultOptions()).Instrument()
-	prox := proxy.Analyze(big)
-
-	runOnce := func(pc int, seed int64) (*Detector, *Oracle) {
-		d := New(Config{Footprints: true, Proxies: prox, PeriodicCommit: pc})
-		o := NewOracle()
-		if _, err := interp.Run(big, trace.Tee(d, o), interp.Options{Seed: seed}); err != nil {
-			t.Fatal(err)
-		}
-		return d, o
-	}
-
-	const pc = 32
-	var seed int64 = -1
-	for s := int64(0); s < 8; s++ {
-		if _, o := runOnce(pc, s); o.HasRaces() {
-			seed = s
-			break
-		}
-	}
-	if seed < 0 {
-		t.Fatal("no schedule in 8 seeds exhibits the overlap race")
-	}
-
-	d1, o1 := runOnce(pc, seed)
-	if o1.HasRaces() && d1.RaceCount() == 0 {
-		t.Error("race missed with PeriodicCommit enabled")
-	}
-	if d1.Stats.FootprintOps == 0 || d1.Stats.ShadowOps == 0 {
-		t.Errorf("periodic commits did no work: %+v", d1.Stats)
-	}
-
-	// Same seed, same config: every counter and race report identical.
-	d2, _ := runOnce(pc, seed)
-	if d1.Stats != d2.Stats {
-		t.Errorf("counters drift across identical runs:\n%+v\n%+v", d1.Stats, d2.Stats)
-	}
-	if got, want := fmt.Sprint(d2.SortedRaceDescs()), fmt.Sprint(d1.SortedRaceDescs()); got != want {
-		t.Errorf("race reports drift: %s vs %s", got, want)
-	}
-
-	// The mitigation must not change what is reported, only when it is
-	// committed: the default (commit at sync only) finds the same races
-	// on the same schedule.
-	dOff, _ := runOnce(0, seed)
-	if got, want := fmt.Sprint(dOff.SortedRaceDescs()), fmt.Sprint(d1.SortedRaceDescs()); got != want {
-		t.Errorf("PeriodicCommit changed reported races: on=%s off=%s", want, got)
 	}
 }
 

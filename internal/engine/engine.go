@@ -145,7 +145,7 @@ func InstrumentFor(base *bfj.Program, name string) *Placement {
 		p.Stats.ChecksPlaced = st.ChecksInserted
 		p.Proxies = proxy.Analyze(prog)
 	case "BF":
-		an := analysis.New(base, analysis.DefaultOptions())
+		an := analysis.New(base, analysis.Options{})
 		p.Prog = an.Instrument()
 		p.Stats = placementStatsOf(an.Stats)
 		p.Proxies = proxy.Analyze(p.Prog)

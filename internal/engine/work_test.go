@@ -1,8 +1,11 @@
 package engine_test
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
+	"bigfoot/internal/analysis"
 	"bigfoot/internal/bfj"
 	"bigfoot/internal/engine"
 	"bigfoot/internal/workloads"
@@ -33,5 +36,64 @@ func TestAnalysisWork(t *testing.T) {
 	}
 	if want := [3]int{57, 83, 25}; sor.Work.Blocks != want {
 		t.Errorf("block analyses by pass, sor = %v, want %v", sor.Work.Blocks, want)
+	}
+}
+
+// TestConcurrentBuilds: bigfootd's sessions and bfbench -parallel
+// build different programs at once.  Four goroutines each build the BF
+// variant of all 19 workloads, each from a different first workload,
+// and every build must give the instrumented text and the Work of a
+// sequential pass.  Under -race this checks that builds share no
+// mutable state.
+func TestConcurrentBuilds(t *testing.T) {
+	type placed struct {
+		text string
+		work analysis.Work
+	}
+	e := engine.New(engine.Options{})
+	ws := workloads.All(workloads.DefaultScale())
+	progs := make([]*bfj.Program, len(ws))
+	build := func(i int) (placed, error) {
+		art, err := e.BuildAST(progs[i], engine.BuildSpec{Variants: []string{"BF"}})
+		if err != nil {
+			return placed{}, fmt.Errorf("%s: %w", ws[i].Name, err)
+		}
+		return placed{bfj.FormatProgram(art.Variant("BF").Program()), art.Stats.Work}, nil
+	}
+	want := make([]placed, len(ws))
+	for i, w := range ws {
+		progs[i] = bfj.MustParse(w.Source)
+		p, err := build(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = p
+	}
+
+	const goroutines = 4
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines*len(ws))
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range ws {
+				i := (g*len(ws)/goroutines + k) % len(ws)
+				got, err := build(i)
+				switch {
+				case err != nil:
+					errs <- err
+				case got.text != want[i].text:
+					errs <- fmt.Errorf("%s: a concurrent build placed other checks than the sequential one", ws[i].Name)
+				case got.work != want[i].work:
+					errs <- fmt.Errorf("%s: concurrent build's work %+v, sequential %+v", ws[i].Name, got.work, want[i].work)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -53,7 +53,7 @@ thread {
 		redCard, _ := RedCard(base)
 		checkPositions(t, prog+" EveryAccess", every)
 		checkPositions(t, prog+" RedCard", redCard)
-		multi := checkPositions(t, prog+" BigFoot", analysis.New(base, analysis.DefaultOptions()).Instrument())
+		multi := checkPositions(t, prog+" BigFoot", analysis.New(base, analysis.Options{}).Instrument())
 		if prog == "inline" && multi == 0 {
 			t.Error("BigFoot: no multi-position item found — workload no longer exercises coalesced position sets")
 		}

@@ -15,27 +15,17 @@ import (
 type Options struct {
 	// Seed drives the deterministic preemption schedule.
 	Seed int64
-	// SliceMin/SliceMax bound the number of statements a thread runs
-	// between preemption points.  Defaults: 20..120.
-	SliceMin, SliceMax int
 	// MaxSteps aborts runaway executions. Default 500M.
 	MaxSteps uint64
 	// Out receives print statement output (nil discards it).
 	Out io.Writer
-	// CountThread0 includes thread 0 (setup/orchestration) accesses and
-	// checks in the counters.  Off by default so check ratios measure
-	// the workload's worker threads, matching the paper's methodology of
-	// measuring the target workload rather than harness code.
-	CountThread0 bool
 }
 
+// sliceMin and sliceMax bound the number of statements a thread runs
+// between preemption points.
+const sliceMin, sliceMax = 20, 120
+
 func (o Options) withDefaults() Options {
-	if o.SliceMin <= 0 {
-		o.SliceMin = 20
-	}
-	if o.SliceMax <= o.SliceMin {
-		o.SliceMax = o.SliceMin + 100
-	}
 	if o.MaxSteps == 0 {
 		o.MaxSteps = 500_000_000
 	}
@@ -351,7 +341,7 @@ func (in *Interp) schedule() error {
 			return fmt.Errorf("deadlock: all live threads are blocked")
 		}
 		t := runnable[in.rng.Intn(len(runnable))]
-		t.budget = in.opts.SliceMin + in.rng.Intn(in.opts.SliceMax-in.opts.SliceMin+1)
+		t.budget = sliceMin + in.rng.Intn(sliceMax-sliceMin+1)
 		t.next()
 	}
 }
@@ -386,10 +376,12 @@ func (in *Interp) yield(t *Thread) {
 	}
 }
 
-// countAccess counts a worker heap access (thread 0 excluded unless
-// CountThread0 is set).
+// countAccess counts a worker heap access.  Thread 0 (setup and
+// orchestration) is never counted, so check ratios measure the
+// workload's worker threads, as the paper measures the target workload
+// rather than harness code.
 func (in *Interp) countAccess(t *Thread, write bool) {
-	if t.ID == 0 && !in.opts.CountThread0 {
+	if t.ID == 0 {
 		return
 	}
 	if write {
@@ -400,7 +392,7 @@ func (in *Interp) countAccess(t *Thread, write bool) {
 }
 
 func (in *Interp) countCheck(t *Thread) {
-	if t.ID == 0 && !in.opts.CountThread0 {
+	if t.ID == 0 {
 		return
 	}
 	in.C.CheckItems++

@@ -332,15 +332,18 @@ setup {
   p = new P;
   a = newarray 10;
   p.x = 1;
+}
+thread {
   check write(p.x/y);
   check read(a[0..10]);
   check read(a[5..5]);
 }`)
-	c, err := Run(prog, NopHook{}, Options{Seed: 0, CountThread0: true})
+	c, err := Run(prog, NopHook{}, Options{Seed: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two non-empty check items execute; the empty range is skipped.
+	// Two non-empty check items execute in the worker thread; the empty
+	// range is skipped.
 	if c.CheckItems != 2 {
 		t.Errorf("check items = %d, want 2", c.CheckItems)
 	}

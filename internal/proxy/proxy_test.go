@@ -11,7 +11,7 @@ import (
 func analyzeBF(t *testing.T, src string) *Table {
 	t.Helper()
 	prog := bfj.MustParse(src)
-	inst := analysis.New(prog, analysis.DefaultOptions()).Instrument()
+	inst := analysis.New(prog, analysis.Options{}).Instrument()
 	return Analyze(inst)
 }
 

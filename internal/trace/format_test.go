@@ -29,7 +29,7 @@ func compileSrc(t *testing.T, src string) (*interp.Compiled, *proxy.Table) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst := analysis.New(prog, analysis.DefaultOptions()).Instrument()
+	inst := analysis.New(prog, analysis.Options{}).Instrument()
 	c, err := interp.Compile(inst)
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@ func compileBF(t *testing.T) (*interp.Compiled, *proxy.Table) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst := analysis.New(prog, analysis.DefaultOptions()).Instrument()
+	inst := analysis.New(prog, analysis.Options{}).Instrument()
 	c, err := interp.Compile(inst)
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +267,7 @@ thread { for (i = 0; i < 64; i = i + 1) { x = a[i]; } }
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst := analysis.New(prog, analysis.DefaultOptions()).Instrument()
+	inst := analysis.New(prog, analysis.Options{}).Instrument()
 	c, err := interp.Compile(inst)
 	if err != nil {
 		t.Fatal(err)

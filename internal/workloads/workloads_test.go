@@ -69,7 +69,7 @@ func TestBigFootInstrumentsAllWorkloads(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			prog := w.Parse()
-			big := analysis.New(prog, analysis.DefaultOptions()).Instrument()
+			big := analysis.New(prog, analysis.Options{}).Instrument()
 			d := detector.New(detector.Config{Footprints: true, Proxies: proxy.Analyze(big)})
 			c, err := interp.Run(big, d, interp.Options{Seed: 1})
 			if err != nil {
@@ -241,7 +241,7 @@ func TestWorkloadSourcesRoundTripThroughPrinter(t *testing.T) {
 			prog := w.Parse()
 			for _, variant := range []*bfj.Program{
 				prog,
-				analysis.New(prog, analysis.DefaultOptions()).Instrument(),
+				analysis.New(prog, analysis.Options{}).Instrument(),
 			} {
 				text := bfj.FormatProgram(variant)
 				re, err := bfj.Parse(text)
