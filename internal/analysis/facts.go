@@ -172,8 +172,8 @@ type solverCell struct {
 
 // solverTable shares solvers among the histories of one body analysis:
 // every history with the same boolean facts gets the same solver, and so
-// the same query caches.  A body job owns its table and drops it with
-// the body, so a table is never reached from two goroutines.
+// the same query caches.  A body analysis owns its table and drops it
+// with the body.
 type solverTable struct {
 	byFacts map[string]*entail.Solver
 }
