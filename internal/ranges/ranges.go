@@ -86,18 +86,14 @@ func Covered(s *entail.Solver, target expr.StridedRange, pieces []expr.StridedRa
 	cursor := target.Lo
 	used := make([]bool, len(pieces))
 	// Invariant: every target grid point provably below cursor is
-	// covered.  Each piece is consumed at most once (reusing a piece
-	// never extends the prefix further).
-	for iter := 0; iter <= len(pieces); iter++ {
+	// covered.  Each advance consumes a piece (reusing a piece never
+	// extends the prefix further), so the loop ends.  Whether the cursor
+	// has reached the end is asked only after it moves: at target.Lo
+	// that is the emptiness query answered above.
+	for advance(s, &cursor, k, target, pieces, used) {
 		if s.ProveLe(target.Hi, cursor) {
 			return true
 		}
-		if !advance(s, &cursor, k, target, pieces, used) {
-			break
-		}
-	}
-	if s.ProveLe(target.Hi, cursor) {
-		return true
 	}
 	return k == 1 && residueCover(s, target, pieces)
 }
