@@ -143,30 +143,14 @@ type fieldAccess struct {
 
 func collectFieldAccesses(lp *bfj.Loop) []fieldAccess {
 	var out []fieldAccess
-	var walkBlock func(b *bfj.Block)
-	walkStmt := func(s bfj.Stmt) {
+	walkLoop(lp, func(s bfj.Stmt) {
 		switch x := s.(type) {
 		case *bfj.FieldRead:
 			out = append(out, fieldAccess{x.Y, x.F, bfj.Read})
 		case *bfj.FieldWrite:
 			out = append(out, fieldAccess{x.Y, x.F, bfj.Write})
 		}
-	}
-	walkBlock = func(b *bfj.Block) {
-		for _, s := range b.Stmts {
-			walkStmt(s)
-			switch x := s.(type) {
-			case *bfj.If:
-				walkBlock(x.Then)
-				walkBlock(x.Else)
-			case *bfj.Loop:
-				walkBlock(x.Pre)
-				walkBlock(x.Post)
-			}
-		}
-	}
-	walkBlock(lp.Pre)
-	walkBlock(lp.Post)
+	})
 	return out
 }
 

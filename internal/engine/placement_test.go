@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -143,4 +144,36 @@ func TestPlacementGoldenExtended(t *testing.T) {
 		}
 	}
 	comparePlacementGolden(t, "testdata/placement_extended.golden", lines)
+}
+
+// TestLoopNestPlacementsRun runs bfgen.LoopNest's nests whose index
+// mixes an outer and the innermost induction variable under FT and BF.
+// A loop invariant whose range mentions a variable the loop assigns
+// would let BF place a check before that variable's first assignment;
+// the instrumented program then fails with "read of unassigned
+// variable" where FT runs clean.  Each nest has one thread, so neither
+// detector may report a race.
+func TestLoopNestPlacementsRun(t *testing.T) {
+	nests := [][2]string{{"nest-3/i3+id", bfgen.LoopNest(3, "i3 + id")}}
+	for d := 1; d <= 6; d++ {
+		nests = append(nests, [2]string{fmt.Sprintf("nest-mixed-%d", d), bfgen.LoopNest(d, fmt.Sprintf("i1 + i%d", d))})
+	}
+	e := engine.New(engine.Options{})
+	for _, n := range nests {
+		name := n[0]
+		art, _, err := e.BuildSource(n[1], engine.BuildSpec{Variants: []string{"FT", "BF"}})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, v := range art.Variants {
+			out, err := e.Run(context.Background(), v, engine.RunSpec{Seed: 1})
+			if err != nil {
+				t.Errorf("%s under %s: %v", name, v.Name, err)
+				continue
+			}
+			if len(out.Races) != 0 {
+				t.Errorf("%s under %s: %d races in a one-thread program", name, v.Name, len(out.Races))
+			}
+		}
+	}
 }
