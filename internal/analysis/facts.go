@@ -184,7 +184,11 @@ func newSolverTable() *solverTable {
 
 // NewHistory builds a history from the given facts.
 func NewHistory(facts ...Fact) History {
-	return History{}.withFacts(facts...)
+	fs := make([]keyed[Fact], len(facts))
+	for i, f := range facts {
+		fs[i] = keyed[Fact]{f.Key(), f}
+	}
+	return History{}.withKeyed(fs)
 }
 
 // bodyHistory is the empty history of a body analysis that shares
@@ -193,12 +197,12 @@ func bodyHistory(tab *solverTable) History {
 	return History{solver: &solverCell{tab: tab}}
 }
 
-// withFacts builds a history from the given facts, added in order, in
-// h's body (its solver table) but with none of h's facts.
-func (h History) withFacts(facts ...Fact) History {
+// withKeyed builds a history from the given keyed facts, added in
+// order, in h's body (its solver table) but with none of h's facts.
+func (h History) withKeyed(facts []keyed[Fact]) History {
 	n := History{facts: make([]keyed[Fact], 0, len(facts)), solver: &solverCell{tab: h.table()}}
-	for _, f := range facts {
-		n.facts = insertFact(n.facts, f)
+	for _, kf := range facts {
+		n.facts = insertKeyed(n.facts, kf, mergeFactPositions)
 	}
 	return n
 }
