@@ -12,19 +12,23 @@ import (
 )
 
 // TestAnalysisWork pins StaticBF's work on the 19 evaluation workloads:
-// the block analyses of passes 1, 2 and 3, summed over every body of
-// the BF placement, and sor's alone (the deepest loop nests).  The
-// counts do not depend on the host, so a change that makes the passes
-// analyze more (say, re-running each converged loop) fails here rather
-// than only in a benchmark.  Solver and query counts are logged.
+// the block analyses of passes 1, 2 and 3 and the entailment queries,
+// summed over every body of the BF placement, and sor's alone (the
+// deepest loop nests).  The counts do not depend on the host, so a
+// change that makes the passes analyze more (say, re-running each
+// converged loop) or ask more (say, proposing loop invariants that
+// refinement can only reject) fails here rather than only in a
+// benchmark.  Iteration and solver counts are logged.
 func TestAnalysisWork(t *testing.T) {
 	var total [3]int
+	var queries int
 	var sor engine.PlacementStats
 	for _, w := range workloads.All(workloads.DefaultScale()) {
 		st := engine.InstrumentFor(bfj.MustParse(w.Source), "BF").Stats
 		for i, n := range st.Work.Blocks {
 			total[i] += n
 		}
+		queries += st.Work.Queries
 		if w.Name == "sor" {
 			sor = st
 		}
@@ -36,6 +40,12 @@ func TestAnalysisWork(t *testing.T) {
 	}
 	if want := [3]int{57, 83, 25}; sor.Work.Blocks != want {
 		t.Errorf("block analyses by pass, sor = %v, want %v", sor.Work.Blocks, want)
+	}
+	if want := 11954; queries != want {
+		t.Errorf("entailment queries, 19 workloads = %d, want %d", queries, want)
+	}
+	if want := 3240; sor.Work.Queries != want {
+		t.Errorf("entailment queries, sor = %d, want %d", sor.Work.Queries, want)
 	}
 }
 
