@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strings"
@@ -23,8 +24,8 @@ import (
 const placementCorpus = 381
 
 // placementLine renders one program's static placements: for FT, RC and
-// BF, a hash of the instrumented program text and the checks placed and
-// check items the placement reports.
+// BF, the placementHash of the instrumented program and the checks
+// placed and check items the placement reports.
 func placementLine(t *testing.T, name, src string) string {
 	prog, err := bfj.Parse(src)
 	if err != nil {
@@ -34,10 +35,42 @@ func placementLine(t *testing.T, name, src string) string {
 	b.WriteString(name)
 	for _, v := range []string{"FT", "RC", "BF"} {
 		p := engine.InstrumentFor(prog, v)
-		sum := sha256.Sum256([]byte(bfj.FormatProgram(p.Prog)))
-		fmt.Fprintf(&b, " %s=%s:%d/%d", v, hex.EncodeToString(sum[:8]), p.Stats.ChecksPlaced, p.Stats.CheckItems)
+		fmt.Fprintf(&b, " %s=%s:%d/%d", v, placementHash(p.Prog), p.Stats.ChecksPlaced, p.Stats.CheckItems)
 	}
 	return b.String()
+}
+
+// placementHash hashes an instrumented program: its text, then the
+// source positions each check item of its methods and threads cites, in
+// program order.  The text prints no positions, so without them a change
+// that moved the access sites a check cites would pass.
+func placementHash(p *bfj.Program) string {
+	h := sha256.New()
+	io.WriteString(h, bfj.FormatProgram(p))
+	var walk func(*bfj.Block)
+	walk = func(b *bfj.Block) {
+		for _, s := range b.Stmts {
+			switch x := s.(type) {
+			case *bfj.Check:
+				for _, it := range x.Items {
+					fmt.Fprintln(h, bfj.FormatPositions(it.Positions))
+				}
+			case *bfj.If:
+				walk(x.Then)
+				walk(x.Else)
+			case *bfj.Loop:
+				walk(x.Pre)
+				walk(x.Post)
+			}
+		}
+	}
+	for _, m := range p.Methods() {
+		walk(m.Body)
+	}
+	for _, t := range p.Threads {
+		walk(t)
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
 // TestPlacementGolden pins the FT, RC and BF placements of every program
@@ -90,17 +123,16 @@ func comparePlacementGolden(t *testing.T, golden string, lines []string) {
 	}
 }
 
-// bfPlacementLine renders one program's BF placement under opts: a hash
-// of the instrumented program text and the checks placed and check
-// items the analysis reports.
+// bfPlacementLine renders one program's BF placement under opts: the
+// placementHash of the instrumented program and the checks placed and
+// check items the analysis reports.
 func bfPlacementLine(t *testing.T, name, src string, opts analysis.Options) string {
 	prog, err := bfj.Parse(src)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	an := analysis.New(prog, opts)
-	sum := sha256.Sum256([]byte(bfj.FormatProgram(an.Instrument())))
-	return fmt.Sprintf("%s BF=%s:%d/%d", name, hex.EncodeToString(sum[:8]), an.Stats.ChecksPlaced, an.Stats.CheckItems)
+	return fmt.Sprintf("%s BF=%s:%d/%d", name, placementHash(an.Instrument()), an.Stats.ChecksPlaced, an.Stats.CheckItems)
 }
 
 // TestPlacementGoldenExtended pins, byte for byte, the placements that
