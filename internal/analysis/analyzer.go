@@ -151,14 +151,7 @@ func (a *Analyzer) volatileField(f string) bool { return a.kills.IsVolatileField
 // (acquire, join, volatile read): past accesses and checks survive, but
 // heap-alias boolean facts die (another thread's writes may now be
 // visible).
-func acquireTransfer(h History) History {
-	return h.Filter(func(f Fact) bool {
-		if b, ok := f.(BoolFact); ok {
-			return !mentionsMutableHeap(b.E)
-		}
-		return true
-	})
-}
+func acquireTransfer(h History) History { return killAliases(h, expr.IsHeapSel) }
 
 // releaseTransfer models a release-like operation (release, fork,
 // volatile write): past accesses and checks are forgotten (their
@@ -171,71 +164,14 @@ func releaseTransfer(h History) History {
 	})
 }
 
-// killFieldAliases drops boolean facts that mention a selection of field
-// f (a write to f through any alias may invalidate them).
-func killFieldAliases(h History, f string) History {
-	return h.Filter(func(fc Fact) bool {
-		b, ok := fc.(BoolFact)
-		if !ok {
-			return true
-		}
-		return !mentionsFieldSel(b.E, f)
+// killAliases drops the boolean facts that mention a heap selection for
+// which sel holds: a write through an alias, or another thread's write
+// made visible by an acquire, may have changed the selection.
+func killAliases(h History, sel func(expr.Expr) bool) History {
+	return h.Filter(func(f Fact) bool {
+		b, ok := f.(BoolFact)
+		return !ok || !expr.Any(b.E, sel)
 	})
-}
-
-// killArrayAliases drops boolean facts mentioning any array selection.
-func killArrayAliases(h History) History {
-	return h.Filter(func(fc Fact) bool {
-		b, ok := fc.(BoolFact)
-		if !ok {
-			return true
-		}
-		return !mentionsIndexSel(b.E)
-	})
-}
-
-func mentionsMutableHeap(e expr.Expr) bool {
-	found := false
-	walkExpr(e, func(x expr.Expr) {
-		switch x.(type) {
-		case expr.FieldSel, expr.IndexSel:
-			found = true
-		}
-	})
-	return found
-}
-
-func mentionsFieldSel(e expr.Expr, f string) bool {
-	found := false
-	walkExpr(e, func(x expr.Expr) {
-		if fs, ok := x.(expr.FieldSel); ok && fs.Field == f {
-			found = true
-		}
-	})
-	return found
-}
-
-func mentionsIndexSel(e expr.Expr) bool {
-	found := false
-	walkExpr(e, func(x expr.Expr) {
-		if _, ok := x.(expr.IndexSel); ok {
-			found = true
-		}
-	})
-	return found
-}
-
-func walkExpr(e expr.Expr, visit func(expr.Expr)) {
-	visit(e)
-	switch x := e.(type) {
-	case expr.Binary:
-		walkExpr(x.L, visit)
-		walkExpr(x.R, visit)
-	case expr.Unary:
-		walkExpr(x.X, visit)
-	case expr.IndexSel:
-		walkExpr(x.Index, visit)
-	}
 }
 
 // substHistory computes H[y := x] for [Rename], dropping facts whose
@@ -299,6 +235,65 @@ func killEffectsHistory(h History, eff killset.Effects) History {
 	})
 }
 
+// transfer applies Fig. 7's history rule for s, any statement but an if
+// or a loop, to the history h before it.  Passes 1 and 3 both compute
+// their histories through it; pass 3 places its checks before it.
+func (a *Analyzer) transfer(s bfj.Stmt, h History) History {
+	switch x := s.(type) {
+	case *bfj.Assign:
+		return h.Add(BoolFact{E: expr.Eq(expr.V(x.X), x.E)})
+	case *bfj.Rename:
+		return substHistory(h, x.Y, x.X)
+	case *bfj.NewArray:
+		return h.Add(BoolFact{E: expr.Eq(expr.LenOf{Base: x.X}, x.Size)})
+	case *bfj.FieldRead:
+		if a.volatileField(x.F) {
+			return acquireTransfer(h)
+		}
+		return h.Add(
+			AccessFact{Kind: bfj.Read, Path: expr.NewFieldPath(x.Y, x.F), Positions: posSet(x.Pos)},
+			BoolFact{E: expr.Eq(expr.V(x.X), expr.FieldSel{Base: x.Y, Field: x.F})},
+		)
+	case *bfj.FieldWrite:
+		if a.volatileField(x.F) {
+			return releaseTransfer(h)
+		}
+		h = killAliases(h, func(e expr.Expr) bool {
+			fs, ok := e.(expr.FieldSel)
+			return ok && fs.Field == x.F
+		})
+		return h.Add(
+			AccessFact{Kind: bfj.Write, Path: expr.NewFieldPath(x.Y, x.F), Positions: posSet(x.Pos)},
+			BoolFact{E: expr.Eq(expr.FieldSel{Base: x.Y, Field: x.F}, x.E)},
+		)
+	case *bfj.ArrayRead:
+		return h.Add(
+			AccessFact{Kind: bfj.Read, Path: expr.ArrayPath{Base: x.Y, Range: expr.Singleton(x.Z)}, Positions: posSet(x.Pos)},
+			BoolFact{E: expr.Eq(expr.V(x.X), expr.IndexSel{Base: x.Y, Index: x.Z})},
+		)
+	case *bfj.ArrayWrite:
+		h = killAliases(h, func(e expr.Expr) bool {
+			_, ok := e.(expr.IndexSel)
+			return ok
+		})
+		return h.Add(
+			AccessFact{Kind: bfj.Write, Path: expr.ArrayPath{Base: x.Y, Range: expr.Singleton(x.Z)}, Positions: posSet(x.Pos)},
+			BoolFact{E: expr.Eq(expr.IndexSel{Base: x.Y, Index: x.Z}, x.E)},
+		)
+	case *bfj.Acquire, *bfj.Join:
+		return acquireTransfer(h)
+	case *bfj.Release, *bfj.Fork:
+		return releaseTransfer(h)
+	case *bfj.Call:
+		return killEffectsHistory(h, a.kills.Effects(x.M, len(x.Args)))
+	case *bfj.Assert:
+		return h.Add(BoolFact{E: x.Cond})
+	case *bfj.Check:
+		return h.Add(checkFactsOf(x.Items)...)
+	}
+	return h // New, Print
+}
+
 // ---------------------------------------------------------------------------
 // Pass 1: forward history (boolean/alias facts + past accesses)
 // ---------------------------------------------------------------------------
@@ -326,54 +321,6 @@ func (p *pass1) block(b *bfj.Block, h History) History {
 
 func (p *pass1) stmt(s bfj.Stmt, h History) History {
 	switch x := s.(type) {
-	case *bfj.Assign:
-		return h.Add(BoolFact{E: expr.Eq(expr.V(x.X), x.E)})
-	case *bfj.Rename:
-		return substHistory(h, x.Y, x.X)
-	case *bfj.New:
-		return h
-	case *bfj.NewArray:
-		return h.Add(BoolFact{E: expr.Eq(expr.LenOf{Base: x.X}, x.Size)})
-	case *bfj.FieldRead:
-		if p.a.volatileField(x.F) {
-			return acquireTransfer(h)
-		}
-		return h.Add(
-			AccessFact{Kind: bfj.Read, Path: expr.NewFieldPath(x.Y, x.F), Positions: posSet(x.Pos)},
-			BoolFact{E: expr.Eq(expr.V(x.X), expr.FieldSel{Base: x.Y, Field: x.F})},
-		)
-	case *bfj.FieldWrite:
-		if p.a.volatileField(x.F) {
-			return releaseTransfer(h)
-		}
-		h = killFieldAliases(h, x.F)
-		return h.Add(
-			AccessFact{Kind: bfj.Write, Path: expr.NewFieldPath(x.Y, x.F), Positions: posSet(x.Pos)},
-			BoolFact{E: expr.Eq(expr.FieldSel{Base: x.Y, Field: x.F}, x.E)},
-		)
-	case *bfj.ArrayRead:
-		return h.Add(
-			AccessFact{Kind: bfj.Read, Path: expr.ArrayPath{Base: x.Y, Range: expr.Singleton(x.Z)}, Positions: posSet(x.Pos)},
-			BoolFact{E: expr.Eq(expr.V(x.X), expr.IndexSel{Base: x.Y, Index: x.Z})},
-		)
-	case *bfj.ArrayWrite:
-		h = killArrayAliases(h)
-		return h.Add(
-			AccessFact{Kind: bfj.Write, Path: expr.ArrayPath{Base: x.Y, Range: expr.Singleton(x.Z)}, Positions: posSet(x.Pos)},
-			BoolFact{E: expr.Eq(expr.IndexSel{Base: x.Y, Index: x.Z}, x.E)},
-		)
-	case *bfj.Acquire, *bfj.Join:
-		return acquireTransfer(h)
-	case *bfj.Release, *bfj.Fork:
-		return releaseTransfer(h)
-	case *bfj.Call:
-		return killEffectsHistory(h, p.a.kills.Effects(x.M, len(x.Args)))
-	case *bfj.Assert:
-		return h.Add(BoolFact{E: x.Cond})
-	case *bfj.Print:
-		return h
-	case *bfj.Check:
-		return h.Add(checkFactsOf(x.Items)...)
 	case *bfj.If:
 		h1 := p.block(x.Then, h.Add(BoolFact{E: x.Cond}))
 		h2 := p.block(x.Else, h.Add(BoolFact{E: expr.Not(x.Cond)}))
@@ -381,7 +328,7 @@ func (p *pass1) stmt(s bfj.Stmt, h History) History {
 	case *bfj.Loop:
 		return p.loop(x, h)
 	}
-	return h
+	return p.a.transfer(s, h)
 }
 
 // loop refines the invariant candidates until every one is entailed on
@@ -636,25 +583,8 @@ func collectArrayAccesses(lp *bfj.Loop) []arrayAccess {
 func assignedVars(lp *bfj.Loop) map[expr.Var]bool {
 	vs := map[expr.Var]bool{}
 	walkLoop(lp, func(s bfj.Stmt) {
-		switch x := s.(type) {
-		case *bfj.Assign:
-			vs[x.X] = true
-		case *bfj.Rename:
-			vs[x.X] = true
-		case *bfj.New:
-			vs[x.X] = true
-		case *bfj.NewArray:
-			vs[x.X] = true
-		case *bfj.FieldRead:
-			vs[x.X] = true
-		case *bfj.ArrayRead:
-			vs[x.X] = true
-		case *bfj.Call:
-			if x.X != "" {
-				vs[x.X] = true
-			}
-		case *bfj.Fork:
-			vs[x.X] = true
+		if v, ok := bfj.Def(s); ok {
+			vs[v] = true
 		}
 	})
 	return vs

@@ -197,101 +197,36 @@ func (p *pass3) block(b *bfj.Block, h History) (*bfj.Block, History) {
 	return out, h
 }
 
+// stmt places the checks s needs, emits s and returns the history after
+// it, which transfer computes.  Only synchronization needs checks before
+// it: Checks(H, ∅) before an acquire, join or volatile read, Checks(H, A)
+// before a release, fork or volatile write, and Checks(H, KillSet(H), A)
+// before a call that synchronizes.
 func (p *pass3) stmt(s bfj.Stmt, h History, out *bfj.Block, b *bfj.Block, i int) History {
-	emit := func(st bfj.Stmt) { out.Stmts = append(out.Stmts, st) }
 	switch x := s.(type) {
-	case *bfj.Assign:
-		emit(bfj.CloneStmt(s))
-		return h.Add(BoolFact{E: expr.Eq(expr.V(x.X), x.E)})
-	case *bfj.Rename:
-		emit(bfj.CloneStmt(s))
-		return substHistory(h, x.Y, x.X)
-	case *bfj.New:
-		emit(bfj.CloneStmt(s))
-		return h
-	case *bfj.NewArray:
-		emit(bfj.CloneStmt(s))
-		return h.Add(BoolFact{E: expr.Eq(expr.LenOf{Base: x.X}, x.Size)})
-	case *bfj.FieldRead:
-		if p.a.volatileField(x.F) {
-			// Acquire-like: place checks for unchecked accesses first.
-			h = p.emitCheck(out, h, Checks(h, NewAntSet()))
-			emit(bfj.CloneStmt(s))
-			return acquireTransfer(h)
-		}
-		emit(bfj.CloneStmt(s))
-		return h.Add(
-			AccessFact{Kind: bfj.Read, Path: expr.NewFieldPath(x.Y, x.F), Positions: posSet(x.Pos)},
-			BoolFact{E: expr.Eq(expr.V(x.X), expr.FieldSel{Base: x.Y, Field: x.F})},
-		)
-	case *bfj.FieldWrite:
-		if p.a.volatileField(x.F) {
-			// Release-like: unchecked, unanticipated accesses must be
-			// checked before their legitimate range ends.
-			h = p.emitCheck(out, h, Checks(h, p.antAt(b, i)))
-			emit(bfj.CloneStmt(s))
-			return releaseTransfer(h)
-		}
-		emit(bfj.CloneStmt(s))
-		h = killFieldAliases(h, x.F)
-		return h.Add(
-			AccessFact{Kind: bfj.Write, Path: expr.NewFieldPath(x.Y, x.F), Positions: posSet(x.Pos)},
-			BoolFact{E: expr.Eq(expr.FieldSel{Base: x.Y, Field: x.F}, x.E)},
-		)
-	case *bfj.ArrayRead:
-		emit(bfj.CloneStmt(s))
-		return h.Add(
-			AccessFact{Kind: bfj.Read, Path: expr.ArrayPath{Base: x.Y, Range: expr.Singleton(x.Z)}, Positions: posSet(x.Pos)},
-			BoolFact{E: expr.Eq(expr.V(x.X), expr.IndexSel{Base: x.Y, Index: x.Z})},
-		)
-	case *bfj.ArrayWrite:
-		emit(bfj.CloneStmt(s))
-		h = killArrayAliases(h)
-		return h.Add(
-			AccessFact{Kind: bfj.Write, Path: expr.ArrayPath{Base: x.Y, Range: expr.Singleton(x.Z)}, Positions: posSet(x.Pos)},
-			BoolFact{E: expr.Eq(expr.IndexSel{Base: x.Y, Index: x.Z}, x.E)},
-		)
-	case *bfj.Acquire:
-		h = p.emitCheck(out, h, Checks(h, NewAntSet()))
-		emit(bfj.CloneStmt(s))
-		return acquireTransfer(h)
-	case *bfj.Join:
-		h = p.emitCheck(out, h, Checks(h, NewAntSet()))
-		emit(bfj.CloneStmt(s))
-		return acquireTransfer(h)
-	case *bfj.Release:
-		h = p.emitCheck(out, h, Checks(h, p.antAt(b, i)))
-		emit(bfj.CloneStmt(s))
-		return releaseTransfer(h)
-	case *bfj.Fork:
-		h = p.emitCheck(out, h, Checks(h, p.antAt(b, i)))
-		emit(bfj.CloneStmt(s))
-		return releaseTransfer(h)
-	case *bfj.Call:
-		eff := p.a.kills.Effects(x.M, len(x.Args))
-		if eff.Syncs() {
-			killed := killEffectsHistory(h, eff)
-			h = p.emitCheck(out, h, ChecksVs(h, killed, p.antAt(b, i)))
-		}
-		emit(bfj.CloneStmt(s))
-		return killEffectsHistory(h, eff)
-	case *bfj.Assert:
-		emit(bfj.CloneStmt(s))
-		return h.Add(BoolFact{E: x.Cond})
-	case *bfj.Print:
-		emit(bfj.CloneStmt(s))
-		return h
-	case *bfj.Check:
-		// Pre-existing checks (golden tests) pass through.
-		emit(bfj.CloneStmt(s))
-		return h.Add(checkFactsOf(x.Items)...)
 	case *bfj.If:
 		return p.ifStmt(x, h, out, b, i)
 	case *bfj.Loop:
 		return p.loop(x, h, out)
+	case *bfj.Acquire, *bfj.Join:
+		h = p.emitCheck(out, h, Checks(h, NewAntSet()))
+	case *bfj.Release, *bfj.Fork:
+		h = p.emitCheck(out, h, Checks(h, p.antAt(b, i)))
+	case *bfj.FieldRead:
+		if p.a.volatileField(x.F) {
+			h = p.emitCheck(out, h, Checks(h, NewAntSet()))
+		}
+	case *bfj.FieldWrite:
+		if p.a.volatileField(x.F) {
+			h = p.emitCheck(out, h, Checks(h, p.antAt(b, i)))
+		}
+	case *bfj.Call:
+		if eff := p.a.kills.Effects(x.M, len(x.Args)); eff.Syncs() {
+			h = p.emitCheck(out, h, ChecksVs(h, killEffectsHistory(h, eff), p.antAt(b, i)))
+		}
 	}
-	emit(bfj.CloneStmt(s))
-	return h
+	out.Stmts = append(out.Stmts, bfj.CloneStmt(s))
+	return p.a.transfer(s, h)
 }
 
 func (p *pass3) ifStmt(x *bfj.If, h History, out *bfj.Block, b *bfj.Block, i int) History {
@@ -350,15 +285,7 @@ func (p *pass3) loop(lp *bfj.Loop, hin History, out *bfj.Block) History {
 		candC = keep
 	}
 	// Emit back-edge checks at the end of the loop body.
-	if len(cback) > 0 {
-		items := cback
-		if !p.a.opts.NoCoalescing {
-			items = coalesce.Coalesce(hBack.Solver(), items)
-		}
-		postOut.Stmts = append(postOut.Stmts, &bfj.Check{Items: items})
-		p.a.Stats.ChecksPlaced++
-		p.a.Stats.CheckItems += len(items)
-	}
+	p.emitCheck(postOut, hBack, cback)
 	out.Stmts = append(out.Stmts, &bfj.Loop{Pre: preOut, Cond: lp.Cond, Post: postOut})
 	return hTest.Add(BoolFact{E: lp.Cond})
 }

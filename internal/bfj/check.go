@@ -109,27 +109,9 @@ func (w *wfChecker) stmt(s Stmt, inMethod bool) error {
 		}
 		return w.block(x.Post, inMethod)
 	case *Assign:
-		if hasHeapSel(x.E) {
+		if expr.Any(x.E, expr.IsHeapSel) {
 			return fmt.Errorf("internal: heap selection survived hoisting in %s", Format(s))
 		}
 	}
 	return nil
-}
-
-func hasHeapSel(e expr.Expr) bool {
-	found := false
-	var walk func(expr.Expr)
-	walk = func(e expr.Expr) {
-		switch x := e.(type) {
-		case expr.FieldSel, expr.IndexSel:
-			found = true
-		case expr.Binary:
-			walk(x.L)
-			walk(x.R)
-		case expr.Unary:
-			walk(x.X)
-		}
-	}
-	walk(e)
-	return found
 }

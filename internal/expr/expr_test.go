@@ -158,6 +158,41 @@ func TestPathMentions(t *testing.T) {
 	}
 }
 
+func TestAnyHeapSel(t *testing.T) {
+	fld := FieldSel{Base: "a", Field: "f"}
+	elt := IndexSel{Base: "b", Index: V("i")}
+	cases := []struct {
+		name string
+		e    Expr
+		want bool
+	}{
+		{"field", fld, true},
+		{"element", elt, true},
+		{"field under !", Unary{OpNot, fld}, true},
+		{"element under !", Not(Eq(elt, I(0))), true},
+		{"field in an arithmetic operand", Add(I(1), Mul(V("x"), fld)), true},
+		{"element in an arithmetic operand", Sub(Unary{OpNeg, elt}, I(1)), true},
+		{"field in a comparison", Lt(V("x"), fld), true},
+		{"element in a comparison", Eq(elt, Add(V("y"), I(2))), true},
+		{"alen", Lt(V("i"), LenOf{Base: "b"}), false},
+		{"alen under !", Unary{OpNot, Eq(LenOf{Base: "b"}, I(0))}, false},
+		{"variables and literals", Eq(Add(V("x"), I(1)), V("y")), false},
+	}
+	for _, c := range cases {
+		if got := Any(c.e, IsHeapSel); got != c.want {
+			t.Errorf("%s: Any(%s, IsHeapSel) = %v, want %v", c.name, c.e, got, c.want)
+		}
+	}
+	// Any also looks inside an element's index.
+	isField := func(e Expr) bool { _, ok := e.(FieldSel); return ok }
+	if !Any(IndexSel{Base: "b", Index: Add(fld, I(1))}, isField) {
+		t.Error("Any missed a field selection inside an index")
+	}
+	if Any(elt, isField) {
+		t.Error("Any found a field selection in b[i]")
+	}
+}
+
 // Property: Not is an involution up to evaluation on comparisons of
 // linear expressions.
 func TestNotInvolutionProperty(t *testing.T) {

@@ -186,79 +186,36 @@ func (in *inserter) access(out *bfj.Block, s *span, keyVars map[string][]expr.Va
 }
 
 func (in *inserter) stmt(st bfj.Stmt, out *bfj.Block, s *span, keyVars map[string][]expr.Var) {
-	emitSelf := func() { out.Stmts = append(out.Stmts, bfj.CloneStmt(st)) }
-	kill := func(v expr.Var) {
-		if in.redcard && s != nil {
-			s.killVar(v, keyVars)
-		}
-	}
+	redcard := in.redcard && s != nil
 	switch x := st.(type) {
 	case *bfj.FieldRead:
-		if in.kills.IsVolatileField(x.F) {
-			// Volatile read: acquire-like, but RedCard spans survive
-			// acquires (covering only ends at releases).
-			emitSelf()
-			kill(x.X)
-			return
+		if !in.kills.IsVolatileField(x.F) {
+			in.access(out, s, keyVars, bfj.Read, expr.NewFieldPath(x.Y, x.F),
+				fieldKey(x.Y, x.F, false), fieldKey(x.Y, x.F, true), []expr.Var{x.Y}, x.Pos)
 		}
-		in.access(out, s, keyVars, bfj.Read, expr.NewFieldPath(x.Y, x.F),
-			fieldKey(x.Y, x.F, false), fieldKey(x.Y, x.F, true), []expr.Var{x.Y}, x.Pos)
-		emitSelf()
-		kill(x.X)
 	case *bfj.FieldWrite:
-		if in.kills.IsVolatileField(x.F) {
-			if in.redcard && s != nil {
-				s.clear() // release-like ends the span
-			}
-			emitSelf()
-			return
+		if !in.kills.IsVolatileField(x.F) {
+			in.access(out, s, keyVars, bfj.Write, expr.NewFieldPath(x.Y, x.F),
+				fieldKey(x.Y, x.F, false), fieldKey(x.Y, x.F, true), []expr.Var{x.Y}, x.Pos)
+		} else if redcard {
+			s.clear() // release-like ends the span
 		}
-		in.access(out, s, keyVars, bfj.Write, expr.NewFieldPath(x.Y, x.F),
-			fieldKey(x.Y, x.F, false), fieldKey(x.Y, x.F, true), []expr.Var{x.Y}, x.Pos)
-		emitSelf()
 	case *bfj.ArrayRead:
 		in.access(out, s, keyVars, bfj.Read,
 			expr.ArrayPath{Base: x.Y, Range: expr.Singleton(x.Z)},
 			arrayKey(x.Y, x.Z, false), arrayKey(x.Y, x.Z, true), keyVarsOf(x.Y, x.Z), x.Pos)
-		emitSelf()
-		kill(x.X)
 	case *bfj.ArrayWrite:
 		in.access(out, s, keyVars, bfj.Write,
 			expr.ArrayPath{Base: x.Y, Range: expr.Singleton(x.Z)},
 			arrayKey(x.Y, x.Z, false), arrayKey(x.Y, x.Z, true), keyVarsOf(x.Y, x.Z), x.Pos)
-		emitSelf()
 	case *bfj.Release, *bfj.Fork:
-		if in.redcard && s != nil {
+		if redcard {
 			s.clear()
 		}
-		emitSelf()
-		if f, ok := st.(*bfj.Fork); ok {
-			kill(f.X)
-		}
-	case *bfj.Acquire, *bfj.Join:
-		// Acquire-like: spans survive (the earlier check still covers
-		// later accesses; only a release ends the covering range).
-		emitSelf()
 	case *bfj.Call:
-		if in.redcard && s != nil && in.kills.Effects(x.M, len(x.Args)).MayRelease {
+		if redcard && in.kills.Effects(x.M, len(x.Args)).MayRelease {
 			s.clear()
 		}
-		emitSelf()
-		if x.X != "" {
-			kill(x.X)
-		}
-	case *bfj.Assign:
-		emitSelf()
-		kill(x.X)
-	case *bfj.Rename:
-		emitSelf()
-		kill(x.X)
-	case *bfj.New:
-		emitSelf()
-		kill(x.X)
-	case *bfj.NewArray:
-		emitSelf()
-		kill(x.X)
 	case *bfj.If:
 		var s1, s2 *span
 		if s != nil {
@@ -271,6 +228,7 @@ func (in *inserter) stmt(st bfj.Stmt, out *bfj.Block, s *span, keyVars map[strin
 			s1.intersect(s2)
 			s.checked = s1.checked
 		}
+		return
 	case *bfj.Loop:
 		// Conservative: a loop body may release (ending spans) and its
 		// back edge merges states; start the body with an empty span and
@@ -285,7 +243,14 @@ func (in *inserter) stmt(st bfj.Stmt, out *bfj.Block, s *span, keyVars map[strin
 		if s != nil {
 			s.clear()
 		}
-	default:
-		emitSelf()
+		return
+	}
+	// Acquire-like statements (acquire, join, volatile read) leave the
+	// span alone: an earlier check still covers later accesses, and only
+	// a release ends the covering range.  An assignment ends the entries
+	// that mention the variable it assigns.
+	out.Stmts = append(out.Stmts, bfj.CloneStmt(st))
+	if v, ok := bfj.Def(st); ok && redcard {
+		s.killVar(v, keyVars)
 	}
 }

@@ -111,23 +111,27 @@ func TestVolatileAccessesAreSync(t *testing.T) {
 
 func TestKillsAliasFact(t *testing.T) {
 	tb := table(t)
-	pure := tb.Effects("pure", 1) // writes field f, no sync
-	fFact := expr.Eq(expr.V("x"), expr.FieldSel{Base: "a", Field: "f"})
-	gFact := expr.Eq(expr.V("x"), expr.FieldSel{Base: "a", Field: "zzz"})
-	local := expr.Eq(expr.V("x"), expr.I(3))
-	if !pure.KillsAliasFact(fFact) {
-		t.Error("write to f must kill f-alias facts")
+	pure := tb.Effects("pure", 1)     // writes field f, no sync
+	locks := tb.Effects("locksIt", 1) // acquires, writes g
+	fSel := expr.FieldSel{Base: "a", Field: "f"}
+	cases := []struct {
+		name string
+		eff  Effects
+		fact expr.Expr
+		want bool
+	}{
+		{"written field", pure, expr.Eq(expr.V("x"), fSel), true},
+		{"written field in an arithmetic operand", pure, expr.Eq(expr.V("x"), expr.Add(expr.I(1), expr.Mul(expr.V("n"), fSel))), true},
+		{"unwritten field", pure, expr.Eq(expr.V("x"), expr.FieldSel{Base: "a", Field: "zzz"}), false},
+		{"heap-free", pure, expr.Eq(expr.V("x"), expr.I(3)), false},
+		// Acquire-like callees kill every heap alias fact.
+		{"acquiring callee, unwritten field", locks, expr.Eq(expr.V("x"), expr.FieldSel{Base: "a", Field: "zzz"}), true},
+		{"acquiring callee, heap-free", locks, expr.Eq(expr.V("x"), expr.I(3)), false},
 	}
-	if pure.KillsAliasFact(gFact) {
-		t.Error("unwritten field alias wrongly killed")
-	}
-	if pure.KillsAliasFact(local) {
-		t.Error("heap-free fact wrongly killed")
-	}
-	// Acquire-like callees kill every heap alias fact.
-	locks := tb.Effects("locksIt", 1)
-	if !locks.KillsAliasFact(gFact) {
-		t.Error("acquiring callee must kill all alias facts")
+	for _, c := range cases {
+		if got := c.eff.KillsAliasFact(c.fact); got != c.want {
+			t.Errorf("%s: KillsAliasFact(%s) = %v, want %v", c.name, c.fact, got, c.want)
+		}
 	}
 }
 
