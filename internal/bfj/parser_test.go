@@ -1,6 +1,7 @@
 package bfj
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -215,11 +216,9 @@ setup {
   t = fork w.run(42);
   join t;
 }`)
-	if !prog.IsVolatile("Worker", "flag") {
-		t.Error("flag should be volatile")
-	}
-	if prog.IsVolatile("Worker", "data") {
-		t.Error("data should not be volatile")
+	want := []Field{{Name: "flag", Volatile: true}, {Name: "data"}}
+	if got := prog.LookupClass("Worker").Fields; !slices.Equal(got, want) {
+		t.Errorf("fields = %+v, want %+v", got, want)
 	}
 	if _, ok := prog.Setup.Stmts[1].(*Fork); !ok {
 		t.Errorf("stmt1 = %T, want Fork", prog.Setup.Stmts[1])

@@ -135,9 +135,6 @@ func (o *Oracle) WriteIndex(t int, a *interp.Array, i int, pos bfj.Pos) {
 // HasRaces reports whether any race occurred in the observed trace.
 func (o *Oracle) HasRaces() bool { return len(o.racyPairs) > 0 }
 
-// RacyLocations returns the racy locations found.
-func (o *Oracle) RacyLocations() []racyLoc { return o.racyPairs }
-
 // RacyDescs returns sorted human-readable racy locations.
 func (o *Oracle) RacyDescs() []string {
 	var out []string

@@ -6,8 +6,6 @@
 package shadow
 
 import (
-	"fmt"
-
 	"bigfoot/internal/bfj"
 	"bigfoot/internal/vc"
 )
@@ -583,16 +581,4 @@ func (a *ArrayShadow) toFine() {
 	a.bounds, a.segs, a.strided = nil, nil, nil
 	a.Refinements++
 	a.addw(nw - a.words)
-}
-
-// DebugString summarizes the representation.
-func (a *ArrayShadow) DebugString() string {
-	switch a.mode {
-	case ModeBlocks:
-		return fmt.Sprintf("blocks%v", a.bounds)
-	case ModeStrided:
-		return fmt.Sprintf("strided:%d", a.stride)
-	default:
-		return a.mode.String()
-	}
 }
