@@ -385,9 +385,6 @@ type RunSpec struct {
 	// MaxSteps bounds the execution's interpreted steps (0 = interpreter
 	// default).  Exceeding it fails the run with interp.ErrStepLimit.
 	MaxSteps uint64
-	// Timeout bounds the execution's wall-clock time (0 = none); it
-	// layers a deadline onto the caller's context.
-	Timeout time.Duration
 	// Out receives print-statement output (nil discards).
 	Out io.Writer
 	// Trace, when non-nil, records the execution's event stream.
@@ -581,11 +578,6 @@ func (e *Engine) run(ctx context.Context, variant string, c *interp.Compiled, d 
 // exec runs one compiled artifact under the budgets, timing exactly the
 // interpreter execution.
 func (e *Engine) exec(ctx context.Context, c *interp.Compiled, hook interp.Hook, spec RunSpec) (*Outcome, error) {
-	if spec.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, spec.Timeout)
-		defer cancel()
-	}
 	start := time.Now()
 	cnt, err := c.RunContext(ctx, hook, interp.Options{
 		Seed:     spec.Seed,

@@ -187,7 +187,9 @@ func TestStepBudget(t *testing.T) {
 
 func TestWallBudget(t *testing.T) {
 	e, art := buildAll(t, spinner)
-	_, err := e.Run(context.Background(), art.Variant("FT"), RunSpec{Seed: 1, Timeout: time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	_, err := e.Run(ctx, art.Variant("FT"), RunSpec{Seed: 1})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want DeadlineExceeded", err)
 	}
