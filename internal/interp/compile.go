@@ -101,8 +101,8 @@ type compiler struct {
 
 	// targets and fields map a method or field name to every class
 	// declaring it, in declaration order, so the first match of a
-	// receiver's class is the declaration LookupMethod and IsVolatile
-	// would find.
+	// receiver's class is that class's first declaration of the name,
+	// the one LookupMethod finds for a method.
 	targets map[string][]target
 	fields  map[string][]fieldSlot
 
