@@ -58,7 +58,7 @@ type Method struct {
 	Ret    expr.Var
 }
 
-// QualifiedName returns Class.Name for diagnostics and kill-set keys.
+// QualifiedName returns Class.Name for diagnostics.
 func (m *Method) QualifiedName() string { return m.Class + "." + m.Name }
 
 // Block is a statement sequence.

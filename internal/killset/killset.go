@@ -39,34 +39,38 @@ type Effects struct {
 // Syncs reports whether the method has any synchronization effect.
 func (e Effects) Syncs() bool { return e.MayAcquire || e.MayRelease }
 
-// Table maps qualified method names (Class.method) to their effects.
+// Table holds the merged effects of each call signature and the
+// program's volatile fields.
 type Table struct {
-	methods map[string]Effects
-	// byName resolves a call-site name+arity to candidate methods.
-	byName map[string][]*bfj.Method
-	prog   *bfj.Program
+	effects  map[signature]Effects
+	volatile map[string]bool
+}
+
+// signature is a call site's method name and argument count: every
+// method with that name and arity is a candidate callee.
+type signature struct {
+	name  string
+	arity int
 }
 
 // Compute builds the effect table for a program by fixpoint iteration
 // over the call graph.
 func Compute(p *bfj.Program) *Table {
-	t := &Table{
-		methods: map[string]Effects{},
-		byName:  map[string][]*bfj.Method{},
-		prog:    p,
-	}
-	for _, m := range p.Methods() {
-		t.methods[m.QualifiedName()] = Effects{FieldsWritten: map[string]bool{}}
-		key := callKey(m.Name, len(m.Params)-1)
-		t.byName[key] = append(t.byName[key], m)
+	t := &Table{effects: map[signature]Effects{}, volatile: map[string]bool{}}
+	for _, c := range p.Classes {
+		for _, fd := range c.Fields {
+			if fd.Volatile {
+				t.volatile[fd.Name] = true
+			}
+		}
 	}
 	for changed := true; changed; {
 		changed = false
 		for _, m := range p.Methods() {
-			cur := t.methods[m.QualifiedName()]
-			next := t.scanBlock(m.Body, cur)
-			if !effectsEqual(cur, next) {
-				t.methods[m.QualifiedName()] = next
+			sig := signature{m.Name, len(m.Params) - 1}
+			cur := t.effects[sig]
+			if next := t.scanBlock(m.Body, cur); !effectsEqual(cur, next) {
+				t.effects[sig] = next
 				changed = true
 			}
 		}
@@ -74,38 +78,16 @@ func Compute(p *bfj.Program) *Table {
 	return t
 }
 
-func callKey(name string, arity int) string {
-	return name + "/" + string(rune('0'+arity%10)) + string(rune('0'+arity/10))
-}
-
-// Callees returns the candidate methods for a call-site name and
-// argument count.
-func (t *Table) Callees(name string, nargs int) []*bfj.Method {
-	return t.byName[callKey(name, nargs)]
-}
-
 // Effects returns the merged effects of all candidates for a call site.
+// The result is shared: callers must not write its FieldsWritten.
 func (t *Table) Effects(name string, nargs int) Effects {
-	merged := Effects{FieldsWritten: map[string]bool{}}
-	for _, m := range t.Callees(name, nargs) {
-		merged = union(merged, t.methods[m.QualifiedName()])
-	}
-	return merged
+	return t.effects[signature{name, nargs}]
 }
 
 // IsVolatileField reports whether any class declares field f volatile
 // (conservative name-based resolution, since BFJ receivers are
 // dynamically typed).
-func (t *Table) IsVolatileField(f string) bool {
-	for _, c := range t.prog.Classes {
-		for _, fd := range c.Fields {
-			if fd.Name == f && fd.Volatile {
-				return true
-			}
-		}
-	}
-	return false
-}
+func (t *Table) IsVolatileField(f string) bool { return t.volatile[f] }
 
 func (t *Table) scanBlock(b *bfj.Block, acc Effects) Effects {
 	for _, s := range b.Stmts {

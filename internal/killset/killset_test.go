@@ -142,3 +142,22 @@ func TestUnknownCallSiteIsHarmless(t *testing.T) {
 		t.Errorf("unknown callee should have empty effects: %+v", e)
 	}
 }
+
+var (
+	sinkEffects  Effects
+	sinkVolatile bool
+)
+
+// TestLookupsAllocateNothing: Compute builds the table once; Effects
+// and IsVolatileField only read it.
+func TestLookupsAllocateNothing(t *testing.T) {
+	tb := table(t)
+	if n := testing.AllocsPerRun(100, func() {
+		sinkEffects = tb.Effects("callsLocker", 1)
+		sinkEffects = tb.Effects("nosuchmethod", 3)
+		sinkVolatile = tb.IsVolatileField("flag")
+		sinkVolatile = tb.IsVolatileField("data")
+	}); n != 0 {
+		t.Errorf("lookups allocate %v times per run, want 0", n)
+	}
+}
