@@ -35,7 +35,6 @@ import (
 
 	"bigfoot/internal/bfj"
 	"bigfoot/internal/engine"
-	"bigfoot/internal/interp"
 	"bigfoot/internal/metrics"
 	"bigfoot/internal/trace"
 )
@@ -169,7 +168,7 @@ type Instrumented struct {
 // Instrument places race checks according to the mode's placement
 // strategy.
 func (p *Program) Instrument(m Mode) *Instrumented {
-	pl := engine.InstrumentFor(p.ast, modeVariants[m])
+	pl := defaultEngine.Instrument(p.ast, modeVariants[m])
 	return &Instrumented{
 		Mode:      m,
 		placement: pl,
@@ -263,12 +262,12 @@ type Compiled struct {
 // cached: every call (and every Instrumented.Run) shares one artifact.
 func (i *Instrumented) Compile() (*Compiled, error) {
 	i.once.Do(func() {
-		v, err := i.placement.Compile()
+		vs, err := defaultEngine.Compile(i.placement, i.placement.Name)
 		if err != nil {
 			i.compErr = err
 			return
 		}
-		i.compiled = &Compiled{Mode: i.Mode, Stats: i.Stats, variant: v}
+		i.compiled = &Compiled{Mode: i.Mode, Stats: i.Stats, variant: vs[0]}
 	})
 	return i.compiled, i.compErr
 }
@@ -378,11 +377,11 @@ func (i *Instrumented) RunContext(ctx context.Context, cfg RunConfig) (*Report, 
 // run's events; a recorded base trace replays through ReplayTrace as
 // variant "base".
 func (p *Program) RunBase(cfg RunConfig) (accesses uint64, err error) {
-	c, err := interp.Compile(p.ast)
+	vs, err := defaultEngine.Compile(&engine.Placement{Name: engine.BaseVariant, Prog: p.ast}, engine.BaseVariant)
 	if err != nil {
 		return 0, err
 	}
-	out, err := defaultEngine.RunBase(context.Background(), c, cfg.spec(AnalysisStats{}))
+	out, err := defaultEngine.RunBase(context.Background(), vs[0].Compiled, cfg.spec(AnalysisStats{}))
 	if err != nil {
 		return 0, err
 	}

@@ -2,10 +2,12 @@ package bigfoot_test
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
 	"bigfoot"
+	"bigfoot/internal/metrics"
 )
 
 const racySrc = `
@@ -93,23 +95,44 @@ setup { print 1 + 2; }
 	}
 }
 
-// baseRuns reads bigfoot_engine_runs_total{variant="base"}, summed
-// over outcomes, from the facade's registry.
-func baseRuns() float64 {
-	var n float64
+// facadeSeries sums the values and the observation counts of family
+// name's series in the facade's registry: the series labelled
+// variant=variant, or all of them when variant is "".
+func facadeSeries(name, variant string) (value float64, count uint64) {
 	for _, f := range bigfoot.Metrics().Snapshot() {
-		if f.Name != "bigfoot_engine_runs_total" {
+		if f.Name != name {
 			continue
 		}
 		for _, s := range f.Series {
-			for _, l := range s.Labels {
-				if l.Name == "variant" && l.Value == "base" {
-					n += s.Value
-				}
+			if variant == "" || slices.Contains(s.Labels, metrics.Label{Name: "variant", Value: variant}) {
+				value += s.Value
+				count += s.Count
 			}
 		}
 	}
-	return n
+	return value, count
+}
+
+// TestBuildsAreMetered: the facade instruments and compiles through the
+// engine's metered build path, so a BigFoot build adds its analysis
+// work and one BF build-time sample to Metrics().
+func TestBuildsAreMetered(t *testing.T) {
+	queries, _ := facadeSeries("bigfoot_engine_analysis_queries_total", "")
+	_, builds := facadeSeries("bigfoot_engine_build_seconds", "BF")
+	inst := bigfoot.MustParse(`
+setup { a = newarray 8; }
+thread { for (i = 0; i < 8; i = i + 1) { a[i] = i; } }
+`).Instrument(bigfoot.BigFoot)
+	if _, err := inst.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	want := queries + float64(inst.Stats.Queries)
+	if got, _ := facadeSeries("bigfoot_engine_analysis_queries_total", ""); got != want || inst.Stats.Queries == 0 {
+		t.Errorf("analysis_queries_total = %v, want %v (%d queries)", got, want, inst.Stats.Queries)
+	}
+	if _, got := facadeSeries("bigfoot_engine_build_seconds", "BF"); got != builds+1 {
+		t.Errorf("build_seconds{variant=BF} count = %d, want %d", got, builds+1)
+	}
 }
 
 // TestRunBase: a base run goes through the engine, so it is metered and
@@ -117,7 +140,7 @@ func baseRuns() float64 {
 // variant "base" with the same accesses.
 func TestRunBase(t *testing.T) {
 	prog := bigfoot.MustParse(racySrc)
-	before := baseRuns()
+	before, _ := facadeSeries("bigfoot_engine_runs_total", "base")
 	rec := bigfoot.NewRecorder(0)
 	var buf bytes.Buffer
 	acc, err := prog.RunBase(bigfoot.RunConfig{Seed: 0, Trace: rec, Record: &buf})
@@ -130,7 +153,7 @@ func TestRunBase(t *testing.T) {
 	if rec.Len() == 0 {
 		t.Error("base run recorded no events into the Recorder")
 	}
-	if got := baseRuns(); got != before+1 {
+	if got, _ := facadeSeries("bigfoot_engine_runs_total", "base"); got != before+1 {
 		t.Errorf("runs_total{variant=base} = %v, want %v", got, before+1)
 	}
 	rep, variant, err := bigfoot.ReplayTrace(&buf)

@@ -169,20 +169,40 @@ type Variant struct {
 // (for rendering; must not be mutated).
 func (v *Variant) Program() *bfj.Program { return v.prog }
 
-// Compile lowers the placement into a runnable Variant.
-func (p *Placement) Compile() (*Variant, error) {
+// Instrument is InstrumentFor metered: a BF placement's analysis work
+// is folded into the engine's metrics.  BuildAST and the facade place
+// checks through it.
+func (e *Engine) Instrument(base *bfj.Program, name string) *Placement {
+	p := InstrumentFor(base, name)
+	if name == "BF" {
+		e.observeAnalysis(p.Stats.Work)
+	}
+	return p
+}
+
+// Compile lowers p into one runnable Variant per name, all sharing one
+// compilation, and observes the compile time under each name.  BuildAST
+// and the facade compile through it.
+func (e *Engine) Compile(p *Placement, names ...string) ([]*Variant, error) {
+	start := time.Now()
 	c, err := interp.Compile(p.Prog)
 	if err != nil {
 		return nil, err
 	}
-	return &Variant{
-		Name:       p.Name,
-		Compiled:   c,
-		Footprints: footprintsFor(p.Name),
-		Proxies:    p.Proxies,
-		Stats:      p.Stats,
-		prog:       p.Prog,
-	}, nil
+	d := time.Since(start)
+	vs := make([]*Variant, len(names))
+	for i, n := range names {
+		e.m.buildSeconds.With(n).ObserveDuration(d)
+		vs[i] = &Variant{
+			Name:       n,
+			Compiled:   c,
+			Footprints: footprintsFor(n),
+			Proxies:    p.Proxies,
+			Stats:      p.Stats,
+			prog:       p.Prog,
+		}
+	}
+	return vs, nil
 }
 
 // BuildTimings records the wall-clock cost of the three preparation
@@ -269,67 +289,53 @@ func (e *Engine) BuildAST(base *bfj.Program, spec BuildSpec) (*Artifact, error) 
 	art := &Artifact{byName: map[string]*Variant{}}
 
 	instStart := time.Now()
-	placements := make(map[string]*Placement, len(names))
+	var placements []*Placement          // in order of first use
+	sharing := map[*Placement][]string{} // the variants each placement serves
 	var every, red *Placement
 	for _, n := range names {
+		var p *Placement
 		switch n {
 		case "FT", "SS":
 			if every == nil {
-				every = InstrumentFor(base, n)
+				every = e.Instrument(base, n)
 			}
-			placements[n] = every
+			p = every
 		case "RC", "SC":
 			if red == nil {
-				red = InstrumentFor(base, n)
+				red = e.Instrument(base, n)
 			}
-			placements[n] = red
+			p = red
 		case "BF":
-			placements[n] = InstrumentFor(base, "BF")
-			art.Stats = placements[n].Stats
-			e.observeAnalysis(art.Stats.Work)
+			p = e.Instrument(base, n)
+			art.Stats = p.Stats
 		}
+		if sharing[p] == nil {
+			placements = append(placements, p)
+		}
+		sharing[p] = append(sharing[p], n)
 	}
 	art.Timings.Instrument = time.Since(instStart)
 
 	compStart := time.Now()
 	defer func() { art.Timings.Compile = time.Since(compStart) }()
-	type built struct {
-		c *interp.Compiled
-		d time.Duration
+	for _, p := range placements {
+		vs, err := e.Compile(p, sharing[p]...)
+		if err != nil {
+			return nil, &BuildError{Variant: sharing[p][0], Err: err}
+		}
+		for _, v := range vs {
+			art.byName[v.Name] = v
+		}
 	}
-	compiled := map[*Placement]built{}
 	for _, n := range names {
-		p := placements[n]
-		b, ok := compiled[p]
-		if !ok {
-			one := time.Now()
-			c, cerr := interp.Compile(p.Prog)
-			if cerr != nil {
-				return nil, &BuildError{Variant: n, Err: cerr}
-			}
-			b = built{c: c, d: time.Since(one)}
-			compiled[p] = b
-		}
-		e.m.buildSeconds.With(n).ObserveDuration(b.d)
-		v := &Variant{
-			Name:       n,
-			Compiled:   b.c,
-			Footprints: footprintsFor(n),
-			Proxies:    p.Proxies,
-			Stats:      p.Stats,
-			prog:       p.Prog,
-		}
-		art.Variants = append(art.Variants, v)
-		art.byName[n] = v
+		art.Variants = append(art.Variants, art.byName[n])
 	}
 	if spec.WithBase {
-		one := time.Now()
-		c, err := interp.Compile(base)
+		vs, err := e.Compile(&Placement{Name: BaseVariant, Prog: base}, BaseVariant)
 		if err != nil {
-			return nil, &BuildError{Variant: "base", Err: err}
+			return nil, &BuildError{Variant: BaseVariant, Err: err}
 		}
-		e.m.buildSeconds.With(BaseVariant).ObserveDuration(time.Since(one))
-		art.Base = c
+		art.Base = vs[0].Compiled
 	}
 	return art, nil
 }

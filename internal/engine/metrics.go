@@ -73,8 +73,8 @@ func newEngineMetrics(r *metrics.Registry) engineMetrics {
 var analysisPasses = [3]string{"1", "2", "3"}
 
 // observeAnalysis folds one BF placement's analysis work into the
-// registry.  BuildAST calls it once per placement it computes, so a
-// cache hit, which computes none, never re-observes.
+// registry.  Instrument calls it once per BF placement it computes, so
+// a cache hit, which computes none, never re-observes.
 func (e *Engine) observeAnalysis(w analysis.Work) {
 	for i, n := range w.Blocks {
 		e.m.analysisBlocks.With(analysisPasses[i]).Add(float64(n))
