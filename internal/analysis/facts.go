@@ -249,9 +249,6 @@ func (h History) Facts() []Fact {
 // Len returns the number of facts.
 func (h History) Len() int { return len(h.facts) }
 
-// Has reports syntactic membership.
-func (h History) Has(f Fact) bool { return h.hasKey(f.Key()) }
-
 func (h History) hasKey(key string) bool {
 	_, ok := findKey(h.facts, key)
 	return ok

@@ -25,18 +25,9 @@ type Oracle struct {
 
 	fields map[*interp.Object]map[string]*shadow.State
 	elems  map[*interp.Array][]shadow.State
-	arrIDs map[*interp.Array]int
 
 	racyFields map[string]bool // "Class#id.f"
 	racyElems  map[string]bool // "array#id[i]"
-	racyPairs  []racyLoc
-}
-
-type racyLoc struct {
-	ObjID   int
-	Field   string
-	ArrayID int
-	Index   int
 }
 
 // NewOracle creates an oracle.
@@ -44,7 +35,6 @@ func NewOracle() *Oracle {
 	return &Oracle{
 		fields:     map[*interp.Object]map[string]*shadow.State{},
 		elems:      map[*interp.Array][]shadow.State{},
-		arrIDs:     map[*interp.Array]int{},
 		racyFields: map[string]bool{},
 		racyElems:  map[string]bool{},
 	}
@@ -88,11 +78,7 @@ func (o *Oracle) fieldState(obj *interp.Object, f string) *shadow.State {
 func (o *Oracle) access(t int, write bool, obj *interp.Object, f string, pos bfj.Pos) {
 	st := o.fieldState(obj, f)
 	if r := st.ApplyAt(write, t, o.clk.now(t), pos); r != nil {
-		key := fmt.Sprintf("%s#%d.%s", obj.Class.Name, obj.ID, f)
-		if !o.racyFields[key] {
-			o.racyFields[key] = true
-			o.racyPairs = append(o.racyPairs, racyLoc{ObjID: obj.ID, Field: f, ArrayID: -1})
-		}
+		o.racyFields[fmt.Sprintf("%s#%d.%s", obj.Class.Name, obj.ID, f)] = true
 	}
 }
 
@@ -101,14 +87,9 @@ func (o *Oracle) accessIdx(t int, write bool, a *interp.Array, i int, pos bfj.Po
 	if es == nil {
 		es = make([]shadow.State, a.Len())
 		o.elems[a] = es
-		o.arrIDs[a] = a.ID
 	}
 	if r := es[i].ApplyAt(write, t, o.clk.now(t), pos); r != nil {
-		key := fmt.Sprintf("array#%d[%d]", a.ID, i)
-		if !o.racyElems[key] {
-			o.racyElems[key] = true
-			o.racyPairs = append(o.racyPairs, racyLoc{ObjID: -1, ArrayID: a.ID, Index: i})
-		}
+		o.racyElems[fmt.Sprintf("array#%d[%d]", a.ID, i)] = true
 	}
 }
 
@@ -133,7 +114,7 @@ func (o *Oracle) WriteIndex(t int, a *interp.Array, i int, pos bfj.Pos) {
 }
 
 // HasRaces reports whether any race occurred in the observed trace.
-func (o *Oracle) HasRaces() bool { return len(o.racyPairs) > 0 }
+func (o *Oracle) HasRaces() bool { return len(o.racyFields)+len(o.racyElems) > 0 }
 
 // RacyDescs returns sorted human-readable racy locations.
 func (o *Oracle) RacyDescs() []string {

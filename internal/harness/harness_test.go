@@ -60,13 +60,10 @@ func TestRunProgramInvariants(t *testing.T) {
 }
 
 func TestReportsRenderAllPrograms(t *testing.T) {
-	rs := runTwo(t)
-	for _, render := range []func([]*ProgramResult) string{Figure2, Figure8, Table1, Table1Wall, Table2, Summary} {
-		text := render(rs)
-		for _, pr := range rs {
-			if render == nil {
-				continue
-			}
+	rep := &Report{Programs: runTwo(t)}
+	for _, render := range []func() string{rep.Figure2, rep.Figure8, rep.Table1, rep.Table1Wall, rep.Table2, rep.Summary} {
+		text := render()
+		for _, pr := range rep.Programs {
 			if !strings.Contains(text, pr.Name) && !strings.Contains(text, "Detector") {
 				t.Errorf("report missing %s:\n%s", pr.Name, text)
 			}

@@ -284,14 +284,8 @@ func Figure8(rs []*ProgramResult) string { return (&Report{Programs: rs}).Figure
 // Table1 renders Table 1 for a bare result slice.
 func Table1(rs []*ProgramResult) string { return (&Report{Programs: rs}).Table1() }
 
-// Table1Wall renders the wall-clock supplement for a bare result slice.
-func Table1Wall(rs []*ProgramResult) string { return (&Report{Programs: rs}).Table1Wall() }
-
 // Table2 renders Table 2 for a bare result slice.
 func Table2(rs []*ProgramResult) string { return (&Report{Programs: rs}).Table2() }
-
-// Summary renders the all-in-one report for a bare result slice.
-func Summary(rs []*ProgramResult) string { return (&Report{Programs: rs}).Summary() }
 
 // Signature renders the deterministic signature for a bare result slice.
 func Signature(rs []*ProgramResult) string { return (&Report{Programs: rs}).Signature() }

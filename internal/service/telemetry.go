@@ -74,10 +74,6 @@ func infoFrom(ctx context.Context) *requestInfo {
 	return &requestInfo{}
 }
 
-// RequestID returns the request-correlation ID the middleware assigned
-// (empty outside a served request).
-func RequestID(ctx context.Context) string { return infoFrom(ctx).id }
-
 // newRequestID generates a 16-hex-char random correlation ID.
 func newRequestID() string {
 	var b [8]byte
