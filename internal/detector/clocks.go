@@ -51,20 +51,14 @@ func (c *clocks) add(delta int) {
 	}
 }
 
+// now returns thread t's current vector clock.  The grow call is kept
+// out of the steady state so the accessor inlines into the check hot
+// path.
 func (c *clocks) now(t int) vc.VC {
-	c.grow(t)
-	return c.vcs[t]
-}
-
-// epoch returns thread t's current epoch clock@t — the only piece of
-// the clock table the same-epoch and ownership fast paths need.  The
-// grow call is kept out of the steady state so the accessor inlines
-// into the check hot path.
-func (c *clocks) epoch(t int) vc.Epoch {
 	if t >= len(c.vcs) {
 		c.grow(t)
 	}
-	return c.vcs[t].Epoch(t)
+	return c.vcs[t]
 }
 
 func (c *clocks) grow(t int) {

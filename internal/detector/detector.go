@@ -39,7 +39,6 @@ import (
 	"bigfoot/internal/interp"
 	"bigfoot/internal/proxy"
 	"bigfoot/internal/shadow"
-	"bigfoot/internal/vc"
 )
 
 // Config selects a detector variant.
@@ -197,7 +196,6 @@ type raceKey struct {
 }
 
 type objShadow struct {
-	obj *interp.Object
 	// states holds one shadow state per interned field-group slot,
 	// indexed by the detector-wide slot id and grown on demand.
 	// Entries the object never touched stay zero and are excluded from
@@ -207,7 +205,6 @@ type objShadow struct {
 }
 
 type fineArray struct {
-	arr    *interp.Array
 	states []shadow.State
 }
 
@@ -332,7 +329,7 @@ func (d *Detector) commit(t int) {
 		before := sh.Mode()
 		refsBefore := sh.Refinements
 		promosBefore, demosBefore := sh.Promotions, sh.Demotions
-		races, ops := sh.CommitAt(e.Write, t, now, e.Lo, e.Hi, e.Step, e.Pos)
+		races, ops := sh.Commit(e.Write, t, now, e.Lo, e.Hi, e.Step, e.Pos)
 		d.Stats.ShadowOps += ops
 		d.Stats.Refinements += sh.Refinements - refsBefore
 		d.Stats.Fast.ReadPromotions += sh.Promotions - promosBefore
@@ -410,26 +407,18 @@ func (d *Detector) slotOf(key string) int {
 // allocation: group resolution is cached per site and shadow states
 // live in a slot-indexed slice.
 //
-// Unless DisableFastPaths is set, two epoch-level fast paths run before
-// the vector-clock protocol (SmartTrack-style): a same-epoch hit
-// returns after one word comparison, and an access to a location the
-// current thread exclusively owns installs its epoch with no
-// happens-before comparison at all.  Both count as a shadow operation —
+// Unless DisableFastPaths is set, State.Access takes the same-epoch and
+// ownership shortcuts (SmartTrack-style) before the vector-clock
+// protocol; the same-epoch test is inlined here so that a hit costs one
+// comparison and no call.  Every path counts as a shadow operation —
 // the ShadowOps column of the deterministic reports must not depend on
 // which path handled the event.
 func (d *Detector) CheckField(t int, write bool, o *interp.Object, fc *interp.FieldCheck) {
 	site := d.site(fc)
 	sh := d.objShadow(o)
 	fast := !d.cfg.DisableFastPaths
-	var e vc.Epoch
-	var now vc.VC
-	haveNow := false
-	if fast {
-		e = d.clk.epoch(t)
-	} else {
-		now = d.clk.now(t)
-		haveNow = true
-	}
+	now := d.clk.now(t)
+	e := now.Epoch(t)
 	for _, slot := range site.slots {
 		if len(sh.states) <= slot {
 			// Size for every slot interned so far in one step; slots
@@ -437,66 +426,23 @@ func (d *Detector) CheckField(t int, write bool, o *interp.Object, fc *interp.Fi
 			sh.states = append(sh.states, make([]shadow.State, len(d.slotKeys)-len(sh.states))...)
 		}
 		st := &sh.states[slot]
-		if fast {
-			// Same-epoch: a read-shared state has R == 0 ≠ e, and a
-			// touched epoch is never zero, so one comparison suffices.
-			// Provenance is untouched — the position of the epoch's first
-			// access is kept, matching the slow path's same-epoch return.
-			if write {
-				if st.W == e {
-					d.Stats.Fast.SameEpochWrites++
-					d.Stats.ShadowOps++
-					continue
-				}
-			} else if st.R == e {
-				d.Stats.Fast.SameEpochReads++
-				d.Stats.ShadowOps++
-				continue
-			}
-			// Exclusive ownership: every recorded epoch belongs to t, so
-			// the access cannot race and the new epoch installs directly.
-			// Owned states are never read-shared, so Words() is unchanged
-			// and the census needs no delta.
-			if st.Owned(t) {
-				if write {
-					st.InstallWrite(e, firstPos(fc.Poss))
-					d.Stats.Fast.OwnedWrites++
-				} else {
-					st.InstallRead(e, firstPos(fc.Poss))
-					d.Stats.Fast.OwnedReads++
-				}
-				d.Stats.ShadowOps++
-				continue
-			}
+		if fast && st.SameEpoch(write, e) {
+			d.count(write, shadow.SameEpoch, 0)
+			continue
 		}
-		if !haveNow {
-			now = d.clk.now(t)
-			haveNow = true
+		if st.Untouched() {
+			// First touch charges the state's two base words; afterwards
+			// only read-vector growth and deflation move the census.
+			d.AddWords(2)
 		}
-		pos := firstPos(fc.Poss)
-		// First touch charges the state's two base words; afterwards
-		// only read-vector growth/deflation moves the census.
-		before := 0
-		if !st.Untouched() {
-			before = st.Words()
-		}
-		wasShared := st.Shared()
-		r := st.ApplyAdaptive(write, t, now, pos, fast)
-		d.AddWords(st.Words() - before)
+		r, how, dw := st.Access(write, t, now, firstPos(fc.Poss), fast)
+		d.count(write, how, dw)
 		if r != nil {
 			d.reportFieldRace(r, o, slot)
 		}
-		if shared := st.Shared(); shared != wasShared {
-			if shared {
-				d.Stats.Fast.ReadPromotions++
-				if d.obs != nil {
-					d.obs.ReadShared(t, fmt.Sprintf("%s#%d.%s", o.Class.Name, o.ID, d.slotKeys[slot]))
-				}
-			} else if !write {
-				d.Stats.Fast.ReadDemotions++
-			}
+		if how == shadow.Promoted && d.obs != nil {
+			d.obs.ReadShared(t, fmt.Sprintf("%s#%d.%s", o.Class.Name, o.ID, d.slotKeys[slot]))
 		}
-		d.Stats.ShadowOps++
 	}
 }
 
@@ -508,63 +454,51 @@ func (d *Detector) CheckRange(t int, write bool, a *interp.Array, lo, hi, step i
 		return
 	}
 	// Fine-grained mode (FT/RC): one shadow location per element, with
-	// the same epoch-level fast paths as CheckField.
+	// the same shortcuts as CheckField.
 	sh := d.fineShadow(a)
 	fast := !d.cfg.DisableFastPaths
-	var e vc.Epoch
-	var now vc.VC
-	haveNow := false
-	if fast {
-		e = d.clk.epoch(t)
-	} else {
-		now = d.clk.now(t)
-		haveNow = true
-	}
+	now := d.clk.now(t)
+	e := now.Epoch(t)
 	for i := lo; i < hi; i += step {
 		st := &sh.states[i]
-		if fast {
-			if write {
-				if st.W == e {
-					d.Stats.Fast.SameEpochWrites++
-					d.Stats.ShadowOps++
-					continue
-				}
-			} else if st.R == e {
-				d.Stats.Fast.SameEpochReads++
-				d.Stats.ShadowOps++
-				continue
-			}
-			if st.Owned(t) {
-				if write {
-					st.InstallWrite(e, pos)
-					d.Stats.Fast.OwnedWrites++
-				} else {
-					st.InstallRead(e, pos)
-					d.Stats.Fast.OwnedReads++
-				}
-				d.Stats.ShadowOps++
-				continue
-			}
+		if fast && st.SameEpoch(write, e) {
+			d.count(write, shadow.SameEpoch, 0)
+			continue
 		}
-		if !haveNow {
-			now = d.clk.now(t)
-			haveNow = true
-		}
-		before := st.Words()
-		wasShared := st.Shared()
-		r := st.ApplyAdaptive(write, t, now, pos, fast)
-		d.AddWords(st.Words() - before)
+		r, how, dw := st.Access(write, t, now, pos, fast)
+		d.count(write, how, dw)
 		if r != nil {
 			d.reportArrayRace(r, a, footprint.Entry{Lo: i, Hi: i + 1, Step: 1, Write: write})
 		}
-		if shared := st.Shared(); shared != wasShared {
-			if shared {
-				d.Stats.Fast.ReadPromotions++
-			} else if !write {
-				d.Stats.Fast.ReadDemotions++
-			}
+	}
+}
+
+// count folds one State.Access result into the run's counters: every
+// access is one shadow operation, a shortcut or a read-metadata
+// transition bumps its FastPathStats counter, and dw moves the census.
+func (d *Detector) count(write bool, step shadow.Step, dw int) {
+	d.Stats.ShadowOps++
+	f := &d.Stats.Fast
+	switch step {
+	case shadow.SameEpoch:
+		if write {
+			f.SameEpochWrites++
+		} else {
+			f.SameEpochReads++
 		}
-		d.Stats.ShadowOps++
+	case shadow.Owned:
+		if write {
+			f.OwnedWrites++
+		} else {
+			f.OwnedReads++
+		}
+	case shadow.Promoted:
+		f.ReadPromotions++
+	case shadow.Demoted:
+		f.ReadDemotions++
+	}
+	if dw != 0 {
+		d.AddWords(dw)
 	}
 }
 
@@ -594,17 +528,17 @@ func (d *Detector) objShadowSlow(o *interp.Object) *objShadow {
 		if s.obj != nil {
 			return s.obj
 		}
-		ns := &objShadow{obj: o}
+		ns := &objShadow{}
 		s.obj = ns
 		d.objShadows = append(d.objShadows, ns)
 		return ns
 	case *lockShadow:
-		ns := &objShadow{obj: o}
+		ns := &objShadow{}
 		o.Shadow = &shadowPair{lock: s, obj: ns}
 		d.objShadows = append(d.objShadows, ns)
 		return ns
 	}
-	s := &objShadow{obj: o}
+	s := &objShadow{}
 	o.Shadow = s
 	d.objShadows = append(d.objShadows, s)
 	return s
@@ -614,7 +548,7 @@ func (d *Detector) fineShadow(a *interp.Array) *fineArray {
 	if s, ok := a.Shadow.(*fineArray); ok {
 		return s
 	}
-	s := &fineArray{arr: a, states: make([]shadow.State, a.Len())}
+	s := &fineArray{states: make([]shadow.State, a.Len())}
 	a.Shadow = s
 	d.arrFine = append(d.arrFine, s)
 	// Fine shadows allocate all element states eagerly; the census
@@ -629,7 +563,7 @@ func (d *Detector) compShadow(a *interp.Array) *shadow.ArrayShadow {
 	}
 	s := shadow.NewArrayShadow(a.Len())
 	s.SetMeter(d)
-	s.DemoteReads = !d.cfg.DisableFastPaths
+	s.Fast = !d.cfg.DisableFastPaths
 	a.Shadow = s
 	d.arrComp = append(d.arrComp, s)
 	d.AddWords(s.Words())

@@ -77,7 +77,7 @@ func (o *Oracle) fieldState(obj *interp.Object, f string) *shadow.State {
 
 func (o *Oracle) access(t int, write bool, obj *interp.Object, f string, pos bfj.Pos) {
 	st := o.fieldState(obj, f)
-	if r := st.ApplyAt(write, t, o.clk.now(t), pos); r != nil {
+	if r, _, _ := st.Access(write, t, o.clk.now(t), pos, false); r != nil {
 		o.racyFields[fmt.Sprintf("%s#%d.%s", obj.Class.Name, obj.ID, f)] = true
 	}
 }
@@ -88,7 +88,7 @@ func (o *Oracle) accessIdx(t int, write bool, a *interp.Array, i int, pos bfj.Po
 		es = make([]shadow.State, a.Len())
 		o.elems[a] = es
 	}
-	if r := es[i].ApplyAt(write, t, o.clk.now(t), pos); r != nil {
+	if r, _, _ := es[i].Access(write, t, o.clk.now(t), pos, false); r != nil {
 		o.racyElems[fmt.Sprintf("array#%d[%d]", a.ID, i)] = true
 	}
 }

@@ -116,12 +116,3 @@ func (f *Footprint[K]) Drain(visit func(a K, e Entry)) {
 
 // Pending reports whether any checks are queued.
 func (f *Footprint[K]) Pending() bool { return len(f.pending) > 0 }
-
-// Arrays returns the arrays with pending entries in first-touch order.
-func (f *Footprint[K]) Arrays() []K {
-	return append([]K(nil), f.order...)
-}
-
-// Entries returns the pending entries for one array, valid until the
-// next Drain.
-func (f *Footprint[K]) Entries(a K) []Entry { return f.pending[a] }

@@ -385,12 +385,17 @@ func (c *compiler) compileRange(r expr.StridedRange, sc *scope, what fmt.Stringe
 }
 
 // span evaluates a range that is not a singleton, clamped to an array
-// of length n; ok is false when nothing of it lies inside.
+// of length n; ok is false when nothing of it lies inside.  A negative
+// lo moves to the stride's first element at or past 0, so the clamped
+// range names the same elements.
 func (cr *checkRange) span(t *Thread, n int64) (lo, hi, step int64, ok bool) {
 	lo, hi, step = cr.lo(t), cr.hi(t), cr.step(t)
 	if step < 1 {
 		fail("check with non-positive stride %d", step)
 	}
-	lo, hi = max(lo, 0), min(hi, n)
+	if lo < 0 {
+		lo = expr.FloorMod(lo, step)
+	}
+	hi = min(hi, n)
 	return lo, hi, step, lo < hi
 }

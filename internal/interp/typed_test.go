@@ -341,7 +341,7 @@ func (f *diffFixture) check(r expr.StridedRange) consumer {
 				fail("check with non-positive stride %d", step)
 			}
 			if lo < 0 {
-				lo = 0
+				lo = expr.FloorMod(lo, step)
 			}
 			if hi > int64(a.Len()) {
 				hi = int64(a.Len())
@@ -410,7 +410,8 @@ func TestTypedMatchesValueEvaluator(t *testing.T) {
 // TestSingletonCheck: a singleton check a[e] evaluates e once, as its
 // own range e..e+1:1 would clamp: lo = MaxInt64 wraps hi and skips the
 // check, a negative lo clamps to an empty range, and a non-integer index
-// fails naming the check path.
+// fails naming the check path.  A strided range with a negative lo
+// clamps to the stride's first element at or past 0.
 func TestSingletonCheck(t *testing.T) {
 	f := newDiffFixture()
 	for _, tc := range []struct {
@@ -425,6 +426,8 @@ func TestSingletonCheck(t *testing.T) {
 		{expr.Singleton(expr.V("neg")), outcome{}},
 		{expr.Singleton(expr.V("min")), outcome{}},
 		{expr.Contiguous(expr.V("neg"), expr.I(2)), outcome{checks: "T1 write=false array#9[0..2:1];"}},
+		{expr.StridedRange{Lo: expr.V("neg"), Hi: expr.I(3), Step: expr.I(2)}, outcome{checks: "T1 write=false array#9[1..3:2];"}},
+		{expr.StridedRange{Lo: expr.V("min"), Hi: expr.I(3), Step: expr.I(3)}, outcome{checks: "T1 write=false array#9[1..3:3];"}},
 		{expr.Singleton(expr.V("yes")), outcome{fail: "expected integer, got true in arr[yes]"}},
 		{expr.Singleton(expr.V("obj")), outcome{fail: "expected integer, got C#7 in arr[obj]"}},
 		{expr.Singleton(expr.V("unset")), outcome{fail: "read of unassigned variable (slot 9)"}},
