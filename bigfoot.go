@@ -245,6 +245,10 @@ type Report struct {
 	ShadowOps    uint64
 	FootprintOps uint64
 	ShadowWords  uint64
+	// HeldBytes is what the detector's shadow structures hold at the
+	// end of the run, computed from their lengths and capacities:
+	// shadow states, read vectors, footprint entries and vector clocks.
+	HeldBytes uint64
 }
 
 // Compiled is an instrumented program lowered to the interpreter's
@@ -322,6 +326,7 @@ func reportOf(out *engine.Outcome) *Report {
 		ShadowOps:    out.ShadowOps,
 		FootprintOps: out.FootprintOps,
 		ShadowWords:  out.PeakWords,
+		HeldBytes:    out.HeldBytes,
 	}
 	if rep.Accesses > 0 {
 		rep.CheckRatio = float64(rep.Checks) / float64(rep.Accesses)

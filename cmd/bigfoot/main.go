@@ -183,8 +183,8 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "trace: %d events (%d dropped) -> %s\n", rec.Len(), rec.Dropped(), *traceOut)
 		}
 		if *stats && k == 0 {
-			fmt.Fprintf(os.Stderr, "mode=%s accesses=%d checks=%d ratio=%.3f shadowOps=%d shadowWords=%d\n",
-				mode, rep.Accesses, rep.Checks, rep.CheckRatio, rep.ShadowOps, rep.ShadowWords)
+			fmt.Fprintf(os.Stderr, "mode=%s accesses=%d checks=%d ratio=%.3f shadowOps=%d shadowWords=%d heldBytes=%d\n",
+				mode, rep.Accesses, rep.Checks, rep.CheckRatio, rep.ShadowOps, rep.ShadowWords, rep.HeldBytes)
 		}
 		for _, r := range rep.Races {
 			if !seen[r.Location] {
@@ -224,8 +224,8 @@ func replayTrace(path string, stats, explain bool) int {
 		return 1
 	}
 	if stats {
-		fmt.Fprintf(os.Stderr, "variant=%s accesses=%d checks=%d ratio=%.3f shadowOps=%d shadowWords=%d\n",
-			variant, rep.Accesses, rep.Checks, rep.CheckRatio, rep.ShadowOps, rep.ShadowWords)
+		fmt.Fprintf(os.Stderr, "variant=%s accesses=%d checks=%d ratio=%.3f shadowOps=%d shadowWords=%d heldBytes=%d\n",
+			variant, rep.Accesses, rep.Checks, rep.CheckRatio, rep.ShadowOps, rep.ShadowWords, rep.HeldBytes)
 	}
 	if len(rep.Races) == 0 {
 		fmt.Fprintln(os.Stderr, "no races detected")

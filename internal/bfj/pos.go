@@ -25,6 +25,25 @@ func (p Pos) String() string {
 	return fmt.Sprintf("%d:%d", p.Line, p.Col)
 }
 
+// Pos32 is a Pos packed into 32-bit line and column, for metadata that
+// keeps a position per shadow location or pending footprint entry.  Its
+// zero value is the unknown position.
+type Pos32 struct {
+	line, col int32
+}
+
+// Pack packs p.  A line or column that does not fit in int32 packs as
+// the unknown position.
+func (p Pos) Pack() Pos32 {
+	if int(int32(p.Line)) != p.Line || int(int32(p.Col)) != p.Col {
+		return Pos32{}
+	}
+	return Pos32{int32(p.Line), int32(p.Col)}
+}
+
+// Unpack returns the packed position.
+func (p Pos32) Unpack() Pos { return Pos{Line: int(p.line), Col: int(p.col)} }
+
 // Before orders positions by (line, col).
 func (p Pos) Before(q Pos) bool {
 	if p.Line != q.Line {

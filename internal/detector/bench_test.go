@@ -108,20 +108,51 @@ func BenchmarkCheckRange(b *testing.B) {
 	})
 }
 
-// BenchmarkCommit measures a synchronization-triggered footprint commit
-// of two arrays (one pending write run each) onto coarse shadow state —
-// the steady-state shape of a loop thread hitting a lock.
+// BenchmarkCommit measures a synchronization-triggered footprint
+// commit.
+//
+//   - runs: two arrays, one pending write run each, onto coarse shadow
+//     state — the steady-state shape of a loop thread hitting a lock.
+//   - blocks-singletons: sixteen scattered singleton writes onto a
+//     64-element array refined to one segment per element — luindex's
+//     per-thread table under SS and SC.  The singletons descend, so the
+//     footprint keeps one entry each, and every entry finds its
+//     segment in the blocks representation.
 func BenchmarkCommit(b *testing.B) {
-	d := New(Config{Footprints: true})
-	a1 := &interp.Array{ID: 1, Elems: make([]interp.Value, 64)}
-	a2 := &interp.Array{ID: 2, Elems: make([]interp.Value, 64)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.CheckRange(1, true, a1, 0, 64, 1, nil)
-		d.CheckRange(1, false, a2, 0, 64, 1, nil)
-		d.sync(1)
-	}
+	b.Run("runs", func(b *testing.B) {
+		d := New(Config{Footprints: true})
+		a1 := &interp.Array{ID: 1, Elems: make([]interp.Value, 64)}
+		a2 := &interp.Array{ID: 2, Elems: make([]interp.Value, 64)}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			d.CheckRange(1, true, a1, 0, 64, 1, nil)
+			d.CheckRange(1, false, a2, 0, 64, 1, nil)
+			d.sync(1)
+		}
+	})
+	b.Run("blocks-singletons", func(b *testing.B) {
+		d := New(Config{Footprints: true})
+		a := &interp.Array{ID: 1, Elems: make([]interp.Value, 64)}
+		op := func(i int) {
+			for k := 0; k < 16; k++ {
+				e := 63 - 4*k - i%4
+				d.CheckRange(1, true, a, e, e+1, 1, nil)
+			}
+			d.sync(1)
+		}
+		for i := 0; i < 4; i++ {
+			op(i) // one segment per element from here on
+		}
+		if m := d.ArrayModes(); m["blocks"] != 1 {
+			b.Fatalf("array modes %v, want one blocks shadow", m)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			op(i)
+		}
+	})
 }
 
 // BenchmarkSync measures an acquire/release pair on one lock with no

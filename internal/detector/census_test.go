@@ -116,3 +116,53 @@ setup {
 	}
 	t.Logf("exact peak %d, sampled peak %d, final %d", d.Stats.PeakWords, s.peak, d.Stats.ShadowWords)
 }
+
+// TestHeldBytesHandChecked pins HeldBytes on a small event sequence:
+// the setup thread 0 forks threads 1 and 2, which read o.f concurrently
+// (a promotion) and write a four-element array; both end and are
+// joined, and thread 0 then writes o.f, deflating the read vector.
+//
+// Both detectors hold:
+//   - o's field states: one slot, 32 bytes;
+//   - the vector table: one slot header (24 bytes), its vector's three
+//     components (24) and the free list's one entry (8) — 56 bytes;
+//   - vector clocks: 13 components, 104 bytes.  Thread 0's clock grew
+//     to 3 by the two joins, thread 1's holds 2 and thread 2's 3 (each
+//     forked child copies its parent's clock and sets its own
+//     component), and the two end snapshots copy threads 1 and 2 (2 + 3).
+//
+// That makes 192 bytes.  FT adds the array's four fine states (128
+// bytes): 320.  SS adds one footprint entry (32) and the coarse array
+// shadow's inline state (32): 256.
+func TestHeldBytesHandChecked(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want uint64
+	}{
+		{"FT", Config{}, 320},
+		{"SS", Config{Footprints: true}, 256},
+	} {
+		d := New(c.cfg)
+		o := benchObject()
+		a := &interp.Array{ID: 1, Elems: make([]interp.Value, 4)}
+		fc := fieldCheck(0, "f")
+		d.Fork(0, 1)
+		d.Fork(0, 2)
+		d.CheckField(1, false, o, fc)
+		d.CheckField(2, false, o, fc)
+		d.CheckRange(1, true, a, 0, 4, 1, nil)
+		d.ThreadEnd(1)
+		d.ThreadEnd(2)
+		d.Join(0, 1)
+		d.Join(0, 2)
+		d.CheckField(0, true, o, fc)
+		d.Finish()
+		if d.RaceCount() != 0 || d.Stats.Fast.ReadPromotions != 1 {
+			t.Fatalf("%s: races %v, %d promotions; want none and one", c.name, d.SortedRaceDescs(), d.Stats.Fast.ReadPromotions)
+		}
+		if got := d.HeldBytes(); got != c.want {
+			t.Errorf("%s holds %d bytes, want %d", c.name, got, c.want)
+		}
+	}
+}

@@ -19,6 +19,9 @@ type clocks struct {
 	vcs  []vc.VC
 	ends []vc.VC
 	vols map[volKey]vc.VC
+	// lockCap counts the components lock clocks hold, for heldBytes
+	// (lock clocks live on their objects, not here).
+	lockCap int
 
 	meter shadow.Meter
 
@@ -133,7 +136,9 @@ func (c *clocks) release(t int, lock *interp.Object) {
 	// one thread is allocation-free.  Semantically identical: a zeroed
 	// tail reads the same as a shorter copy, and lock clocks are
 	// excluded from the space census either way.
+	before := ls.v.Cap()
 	ls.v.Assign(c.vcs[t])
+	c.lockCap += ls.v.Cap() - before
 	ls.owner = t
 	c.vcs[t].Tick(t)
 }
@@ -172,6 +177,19 @@ func (c *clocks) words() int {
 		w += v.Words()
 	}
 	return w
+}
+
+// heldBytes reports the bytes every vector clock's storage holds:
+// thread clocks, end snapshots, volatile and lock clocks.
+func (c *clocks) heldBytes() int {
+	n := c.lockCap
+	for i := range c.vcs {
+		n += c.vcs[i].Cap() + c.ends[i].Cap()
+	}
+	for _, v := range c.vols {
+		n += v.Cap()
+	}
+	return 8 * n
 }
 
 // The lock's vector clock lives in detector-owned space; locks are also

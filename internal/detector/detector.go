@@ -152,11 +152,17 @@ type Detector struct {
 
 	fps []*footprint.Footprint[*interp.Array]
 
-	// Shadow registries for the DebugCensus walk (the run path never
-	// iterates them).
+	// vs holds the read vectors of every read-shared shadow state.
+	vs shadow.Vectors
+
+	// Field and fine array shadows, registered only under DebugCensus
+	// for its walk (the run path never iterates them).  heldStates
+	// counts the states their slices hold, for HeldBytes.
 	objShadows []*objShadow
 	arrFine    []*fineArray
-	arrComp    []*shadow.ArrayShadow
+	heldStates int
+	// arrComp lists every compressed array shadow, for ArrayModes.
+	arrComp []*shadow.ArrayShadow
 
 	// sites caches per-check-site resolution, indexed by
 	// interp.FieldCheck.Index: the proxy groups a site touches and the
@@ -329,13 +335,13 @@ func (d *Detector) commit(t int) {
 		before := sh.Mode()
 		refsBefore := sh.Refinements
 		promosBefore, demosBefore := sh.Promotions, sh.Demotions
-		races, ops := sh.Commit(e.Write, t, now, e.Lo, e.Hi, e.Step, e.Pos)
+		races, ops := sh.Commit(e.Write, t, now, int(e.Lo), int(e.Hi), e.Step, e.Pos.Unpack())
 		d.Stats.ShadowOps += ops
 		d.Stats.Refinements += sh.Refinements - refsBefore
 		d.Stats.Fast.ReadPromotions += sh.Promotions - promosBefore
 		d.Stats.Fast.ReadDemotions += sh.Demotions - demosBefore
 		for _, r := range races {
-			d.reportArrayRace(r, a, e)
+			d.reportArrayRace(r, a, int(e.Lo), int(e.Hi), e.Step)
 		}
 		if d.obs != nil {
 			if after := sh.Mode(); after != before {
@@ -423,7 +429,9 @@ func (d *Detector) CheckField(t int, write bool, o *interp.Object, fc *interp.Fi
 		if len(sh.states) <= slot {
 			// Size for every slot interned so far in one step; slots
 			// interned later grow it again.
+			c := cap(sh.states)
 			sh.states = append(sh.states, make([]shadow.State, len(d.slotKeys)-len(sh.states))...)
+			d.heldStates += cap(sh.states) - c
 		}
 		st := &sh.states[slot]
 		if fast && st.SameEpoch(write, e) {
@@ -435,7 +443,7 @@ func (d *Detector) CheckField(t int, write bool, o *interp.Object, fc *interp.Fi
 			// only read-vector growth and deflation move the census.
 			d.AddWords(2)
 		}
-		r, how, dw := st.Access(write, t, now, firstPos(fc.Poss), fast)
+		r, how, dw := st.Access(&d.vs, write, t, now, firstPos(fc.Poss), fast)
 		d.count(write, how, dw)
 		if r != nil {
 			d.reportFieldRace(r, o, slot)
@@ -465,10 +473,10 @@ func (d *Detector) CheckRange(t int, write bool, a *interp.Array, lo, hi, step i
 			d.count(write, shadow.SameEpoch, 0)
 			continue
 		}
-		r, how, dw := st.Access(write, t, now, pos, fast)
+		r, how, dw := st.Access(&d.vs, write, t, now, pos, fast)
 		d.count(write, how, dw)
 		if r != nil {
-			d.reportArrayRace(r, a, footprint.Entry{Lo: i, Hi: i + 1, Step: 1, Write: write})
+			d.reportArrayRace(r, a, i, i+1, 1)
 		}
 	}
 }
@@ -523,24 +531,21 @@ func (d *Detector) objShadow(o *interp.Object) *objShadow {
 }
 
 func (d *Detector) objShadowSlow(o *interp.Object) *objShadow {
-	switch s := o.Shadow.(type) {
-	case *shadowPair:
-		if s.obj != nil {
-			return s.obj
-		}
-		ns := &objShadow{}
-		s.obj = ns
-		d.objShadows = append(d.objShadows, ns)
-		return ns
-	case *lockShadow:
-		ns := &objShadow{}
-		o.Shadow = &shadowPair{lock: s, obj: ns}
-		d.objShadows = append(d.objShadows, ns)
-		return ns
+	if pair, ok := o.Shadow.(*shadowPair); ok && pair.obj != nil {
+		return pair.obj
 	}
 	s := &objShadow{}
-	o.Shadow = s
-	d.objShadows = append(d.objShadows, s)
+	switch cur := o.Shadow.(type) {
+	case *shadowPair:
+		cur.obj = s
+	case *lockShadow:
+		o.Shadow = &shadowPair{lock: cur, obj: s}
+	default:
+		o.Shadow = s
+	}
+	if d.cfg.DebugCensus {
+		d.objShadows = append(d.objShadows, s)
+	}
 	return s
 }
 
@@ -550,7 +555,10 @@ func (d *Detector) fineShadow(a *interp.Array) *fineArray {
 	}
 	s := &fineArray{states: make([]shadow.State, a.Len())}
 	a.Shadow = s
-	d.arrFine = append(d.arrFine, s)
+	if d.cfg.DebugCensus {
+		d.arrFine = append(d.arrFine, s)
+	}
+	d.heldStates += a.Len()
 	// Fine shadows allocate all element states eagerly; the census
 	// charges them at creation (two words each), matching the walk.
 	d.AddWords(2 * a.Len())
@@ -561,7 +569,7 @@ func (d *Detector) compShadow(a *interp.Array) *shadow.ArrayShadow {
 	if s, ok := a.Shadow.(*shadow.ArrayShadow); ok {
 		return s
 	}
-	s := shadow.NewArrayShadow(a.Len())
+	s := shadow.NewArrayShadow(a.Len(), &d.vs)
 	s.SetMeter(d)
 	s.Fast = !d.cfg.DisableFastPaths
 	a.Shadow = s
@@ -599,17 +607,17 @@ func (d *Detector) reportFieldRace(r *shadow.Race, o *interp.Object, slot int) {
 // deliberately avoid, and would change the deterministic race counts
 // the benchmark tables pin — so the behavior is documented and pinned
 // by TestOverlappingRangeDedup instead.
-func (d *Detector) reportArrayRace(r *shadow.Race, a *interp.Array, e footprint.Entry) {
-	key := raceKey{objID: -1, slot: -1, arrayID: a.ID, lo: e.Lo, hi: e.Hi, step: e.Step}
+func (d *Detector) reportArrayRace(r *shadow.Race, a *interp.Array, lo, hi, step int) {
+	key := raceKey{objID: -1, slot: -1, arrayID: a.ID, lo: lo, hi: hi, step: step}
 	if d.raceKeys[key] {
 		return
 	}
 	d.raceKeys[key] = true
-	desc := fmt.Sprintf("array#%d[%d..%d:%d]", a.ID, e.Lo, e.Hi, e.Step)
+	desc := fmt.Sprintf("array#%d[%d..%d:%d]", a.ID, lo, hi, step)
 	d.races = append(d.races, Race{
 		Desc: desc, PrevTID: r.PrevTID, CurTID: r.CurTID,
 		PrevPos: r.PrevPos, CurPos: r.CurPos, PrevWrite: r.PrevW, CurWrite: r.IsWrite,
-		ObjID: -1, ArrayID: a.ID, Lo: e.Lo, Hi: e.Hi, Step: e.Step,
+		ObjID: -1, ArrayID: a.ID, Lo: lo, Hi: hi, Step: step,
 	})
 }
 
@@ -620,18 +628,19 @@ func (d *Detector) reportArrayRace(r *shadow.Race, a *interp.Array, e footprint.
 // walkCensus recomputes shadow memory and refinements by walking every
 // registered shadow container — the algorithm the sampled census used
 // before accounting became incremental.  Only DebugCensus and tests
-// call it.
+// call it; the field and fine array shadows are registered only under
+// DebugCensus.
 func (d *Detector) walkCensus() (words uint64, refinements int) {
 	for _, s := range d.objShadows {
 		for i := range s.states {
 			if st := &s.states[i]; !st.Untouched() {
-				words += uint64(st.Words())
+				words += uint64(st.Words(&d.vs))
 			}
 		}
 	}
 	for _, s := range d.arrFine {
 		for i := range s.states {
-			words += uint64(s.states[i].Words())
+			words += uint64(s.states[i].Words(&d.vs))
 		}
 	}
 	for _, s := range d.arrComp {
@@ -653,6 +662,24 @@ func (d *Detector) verifyCensus() {
 		panic(fmt.Sprintf("detector: census mismatch: incremental words=%d refinements=%d, walked words=%d refinements=%d",
 			d.Stats.ShadowWords, d.Stats.Refinements, words, refs))
 	}
+}
+
+// HeldBytes reports the bytes the detector's shadow structures hold,
+// computed from their lengths and capacities: shadow states (field,
+// fine and compressed array shadows), the read-vector table, footprint
+// entries and vector clocks.  Unlike the census it counts what the
+// structures allocate — positions and spare capacity included — so it
+// measures the census against the memory behind it.  It enters no
+// signature or report.
+func (d *Detector) HeldBytes() uint64 {
+	b := d.heldStates*shadow.StateBytes + d.vs.HeldBytes() + d.clk.heldBytes()
+	for _, s := range d.arrComp {
+		b += s.HeldBytes()
+	}
+	for _, f := range d.fps {
+		b += f.HeldBytes()
+	}
+	return uint64(b)
 }
 
 // ArrayModes summarizes final array shadow representations (for

@@ -157,19 +157,19 @@ func TestFastPathZeroAllocs(t *testing.T) {
 	// clock domain into another's and fabricate races.
 	cases := []struct {
 		name string
-		prep func() func()
+		prep func(t *testing.T) func()
 	}{
-		{"same-epoch-read", func() func() {
+		{"same-epoch-read", func(*testing.T) func() {
 			d, obj := New(Config{}), benchObject()
 			d.CheckField(1, false, obj, fc)
 			return func() { d.CheckField(1, false, obj, fc) }
 		}},
-		{"same-epoch-write", func() func() {
+		{"same-epoch-write", func(*testing.T) func() {
 			d, obj := New(Config{}), benchObject()
 			d.CheckField(1, true, obj, fc)
 			return func() { d.CheckField(1, true, obj, fc) }
 		}},
-		{"owned-write", func() func() {
+		{"owned-write", func(*testing.T) func() {
 			d, obj := New(Config{}), benchObject()
 			d.CheckField(1, true, obj, fc)
 			return func() {
@@ -177,14 +177,21 @@ func TestFastPathZeroAllocs(t *testing.T) {
 				d.CheckField(1, true, obj, fc)
 			}
 		}},
-		{"demotion-churn", func() func() {
+		{"demotion-churn", func(t *testing.T) func() {
 			d, obj := New(Config{}), benchObject()
 			demotionClocks(d)
 			driveDemotionCycle(d, obj, fc) // warm-up allocates the read vector once
 			driveDemotionCycle(d, obj, fc) // second cycle grows it to its steady size
+			// Every promotion takes the slot the last demotion freed: the
+			// detector's vector table never grows past one slot.
+			t.Cleanup(func() {
+				if n := d.vs.Slots(); n != 1 {
+					t.Errorf("demotion churn left %d slots in the vector table, want 1", n)
+				}
+			})
 			return func() { driveDemotionCycle(d, obj, fc) }
 		}},
-		{"fine-range", func() func() {
+		{"fine-range", func(*testing.T) func() {
 			// FT's eager array path: each op ticks the clock, so the first
 			// check installs owned writes and the second hits same-epoch.
 			d := New(Config{})
@@ -196,7 +203,7 @@ func TestFastPathZeroAllocs(t *testing.T) {
 				d.CheckRange(1, true, a, 0, 64, 1, nil)
 			}
 		}},
-		{"footprint-commit", func() func() {
+		{"footprint-commit", func(*testing.T) func() {
 			// BenchmarkCommit's shape: two pending runs committed at a
 			// sync, once their entry slices are sized.
 			d := New(Config{Footprints: true})
@@ -210,7 +217,7 @@ func TestFastPathZeroAllocs(t *testing.T) {
 			op()
 			return op
 		}},
-		{"lock-reacquire", func() func() {
+		{"lock-reacquire", func(*testing.T) func() {
 			d := New(Config{})
 			lock := &interp.Object{ID: 9, Class: &bfj.Class{Name: "P"}}
 			d.Acquire(1, lock)
@@ -223,7 +230,7 @@ func TestFastPathZeroAllocs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			op := tc.prep()
+			op := tc.prep(t)
 			if avg := testing.AllocsPerRun(200, op); avg != 0 {
 				t.Errorf("%s: %v allocs/op, want 0", tc.name, avg)
 			}

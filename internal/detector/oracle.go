@@ -22,6 +22,7 @@ import (
 type Oracle struct {
 	interp.NopHook
 	clk clocks
+	vs  shadow.Vectors
 
 	fields map[*interp.Object]map[string]*shadow.State
 	elems  map[*interp.Array][]shadow.State
@@ -77,7 +78,7 @@ func (o *Oracle) fieldState(obj *interp.Object, f string) *shadow.State {
 
 func (o *Oracle) access(t int, write bool, obj *interp.Object, f string, pos bfj.Pos) {
 	st := o.fieldState(obj, f)
-	if r, _, _ := st.Access(write, t, o.clk.now(t), pos, false); r != nil {
+	if r, _, _ := st.Access(&o.vs, write, t, o.clk.now(t), pos, false); r != nil {
 		o.racyFields[fmt.Sprintf("%s#%d.%s", obj.Class.Name, obj.ID, f)] = true
 	}
 }
@@ -88,7 +89,7 @@ func (o *Oracle) accessIdx(t int, write bool, a *interp.Array, i int, pos bfj.Po
 		es = make([]shadow.State, a.Len())
 		o.elems[a] = es
 	}
-	if r, _, _ := es[i].Access(write, t, o.clk.now(t), pos, false); r != nil {
+	if r, _, _ := es[i].Access(&o.vs, write, t, o.clk.now(t), pos, false); r != nil {
 		o.racyElems[fmt.Sprintf("array#%d[%d]", a.ID, i)] = true
 	}
 }

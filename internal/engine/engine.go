@@ -435,8 +435,12 @@ type Outcome struct {
 	ShadowOps    uint64
 	FootprintOps uint64
 	PeakWords    uint64
-	Races        []detector.Race
-	ArrayModes   map[string]int
+	// HeldBytes is what the detector's shadow structures hold at the
+	// end of the run (detector.HeldBytes); no signature or report
+	// carries it.
+	HeldBytes  uint64
+	Races      []detector.Race
+	ArrayModes map[string]int
 
 	FieldChecks uint64
 	ArrayChecks uint64
@@ -530,6 +534,7 @@ func (c *chain) fill(out *Outcome) {
 		out.ShadowOps = d.Stats.ShadowOps
 		out.FootprintOps = d.Stats.FootprintOps
 		out.PeakWords = d.Stats.PeakWords
+		out.HeldBytes = d.HeldBytes()
 		out.Races = d.Races()
 		out.ArrayModes = d.ArrayModes()
 		out.FastPaths = d.Stats.Fast

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"bigfoot/internal/bfj"
 )
@@ -119,8 +120,8 @@ func TestSteadyStateEpochsDoNotAllocate(t *testing.T) {
 	if a := testing.AllocsPerRun(100, cycle); a != 0 {
 		t.Errorf("steady-state Add/Drain cycle allocates %v times, want 0", a)
 	}
-	if f.Pending() || len(f.pending) != 0 {
-		t.Errorf("drained footprint keeps %d arrays in its map", len(f.pending))
+	if f.Pending() || len(f.index) != 0 {
+		t.Errorf("drained footprint keeps %d arrays in its index", len(f.index))
 	}
 }
 
@@ -159,7 +160,7 @@ func TestMergePreservesCoverage(t *testing.T) {
 		}
 		var gotW, gotR [n]bool
 		f.Drain(func(id int, e Entry) {
-			for i := e.Lo; i < e.Hi && i < n; i += e.Step {
+			for i := int(e.Lo); i < int(e.Hi) && i < n; i += e.Step {
 				if e.Write {
 					gotW[i] = true
 				} else {
@@ -276,7 +277,7 @@ func TestInterleavedArraysMatchNaiveModel(t *testing.T) {
 			if e.Step < 1 {
 				t.Fatalf("seed %d: drained entry with step %d", seed, e.Step)
 			}
-			got.add(id, e.Lo, e.Hi, e.Step, e.Write)
+			got.add(id, int(e.Lo), int(e.Hi), e.Step, e.Write)
 		})
 		if f.Pending() {
 			t.Fatalf("seed %d: footprint still pending after drain", seed)
@@ -293,5 +294,13 @@ func TestInterleavedArraysMatchNaiveModel(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEntryIsCompact pins the Entry layout at 32 bytes: int32 bounds,
+// an int stride, the kind and a packed position.
+func TestEntryIsCompact(t *testing.T) {
+	if n := unsafe.Sizeof(Entry{}); n != 32 {
+		t.Errorf("Entry takes %d bytes, want 32", n)
 	}
 }

@@ -6,6 +6,9 @@
 package shadow
 
 import (
+	"slices"
+	"unsafe"
+
 	"bigfoot/internal/bfj"
 	"bigfoot/internal/vc"
 )
@@ -32,26 +35,37 @@ type Race struct {
 }
 
 // State is a FastTrack shadow location: last-write epoch W, and either a
-// last-read epoch R or (when reads are concurrent) a full read vector RV.
+// last-read epoch R or, when reads are concurrent, a read vector.  The
+// vector lives in the run's Vectors table: a read-shared state sets
+// sharedBit in R, and the rest of R is the vector's slot.  A state
+// holds no pointer and takes 32 bytes, so a slice of states is memory
+// the garbage collector never scans.
 //
 // For race provenance the state also remembers the source position of
-// the last write and of a representative last read.  Under read-shared
-// state (RV non-empty) rpos is the position of the most recent read of
-// any thread — an approximation, since FastTrack's O(1) epoch
-// representation deliberately forgets per-thread access history.  The
-// positions are metadata, excluded from Words(): they do not model
-// per-location space a real detector would have to allocate (RoadRunner
-// recovers positions from the instrumented bytecode, not shadow memory).
+// the last write and of a representative last read, packed to 32-bit
+// line and column.  Under read-shared state rpos is the position of the
+// most recent read of any thread — an approximation, since FastTrack's
+// O(1) epoch representation deliberately forgets per-thread access
+// history.  The positions are metadata, excluded from Words: they do
+// not model per-location space a real detector would have to allocate
+// (RoadRunner recovers positions from the instrumented bytecode, not
+// shadow memory).
 type State struct {
-	W  vc.Epoch
-	R  vc.Epoch
-	RV vc.VC // non-empty iff read-shared
+	W vc.Epoch
+	R vc.Epoch // last-read epoch, or sharedBit | slot when read-shared
 
-	wpos bfj.Pos // position of the access that installed W
-	rpos bfj.Pos // position of the representative last read
+	wpos bfj.Pos32 // position of the access that installed W
+	rpos bfj.Pos32 // position of the representative last read
 }
 
-func (s *State) shared() bool { return s.RV.Len() > 0 }
+// sharedBit tags a read-shared state's R.  No epoch has it set (see
+// vc.MakeEpoch), so a tagged R never equals an access's epoch.
+const sharedBit vc.Epoch = 1 << 63
+
+func (s *State) shared() bool { return s.R&sharedBit != 0 }
+
+// slot returns a read-shared state's slot in the Vectors table.
+func (s *State) slot() int { return int(s.R &^ sharedBit) }
 
 // Step says how Access decided an access.  The detectors count the
 // shortcuts and the read-metadata transitions (FastPathStats).
@@ -67,9 +81,9 @@ const (
 
 // SameEpoch reports whether the state already records epoch e for an
 // access of this kind, in which case the access changes nothing.  A
-// read-shared state has R == 0, and a touched epoch is never zero, so
-// one comparison suffices.  It is small enough to inline, so the
-// detectors' loops test it before calling Access.
+// read-shared state's R carries sharedBit, which no epoch has, so one
+// comparison suffices.  It is small enough to inline, so the detectors'
+// loops test it before calling Access.
 func (s *State) SameEpoch(write bool, e vc.Epoch) bool {
 	if write {
 		return s.W == e
@@ -79,8 +93,9 @@ func (s *State) SameEpoch(write bool, e vc.Epoch) bool {
 
 // Access performs the FastTrack check-and-update of one access by
 // thread t, whose current vector time is now, at source position pos.
-// It returns the race the access makes with an earlier one (nil if
-// none), how it was decided, and the change in Words.
+// vs is the table holding the run's read vectors.  It returns the race
+// the access makes with an earlier one (nil if none), how it was
+// decided, and the change in Words.
 //
 // With fast set it first takes SmartTrack's shortcuts.  Same epoch: the
 // state already holds the access's epoch.  Ownership: the state is not
@@ -99,8 +114,11 @@ func (s *State) SameEpoch(write bool, e vc.Epoch) bool {
 // detection is unchanged; only the thread reported as PrevTID of a
 // later read-write race may differ, which the deterministic signatures
 // exclude.  A write deflating the vector is base protocol, not a
-// demotion.
-func (s *State) Access(write bool, t int, now vc.VC, pos bfj.Pos, fast bool) (race *Race, step Step, dw int) {
+// demotion.  Deflation and demotion free the vector's slot; the next
+// promotion takes a free slot and re-extends its storage (see
+// vc.VC.Clear), so a promote↔demote churn cycle allocates nothing once
+// the table is sized.
+func (s *State) Access(vs *Vectors, write bool, t int, now vc.VC, pos bfj.Pos, fast bool) (race *Race, step Step, dw int) {
 	e := now.Epoch(t)
 	if s.SameEpoch(write, e) {
 		// The protocol's own same-epoch rule; the position of the
@@ -110,70 +128,146 @@ func (s *State) Access(write bool, t int, now vc.VC, pos bfj.Pos, fast bool) (ra
 		}
 		return nil, step, 0
 	}
+	shared := s.shared()
 	// Ownership: touched, not read-shared, and every recorded epoch is t's.
-	if fast && !s.shared() && (s.W != 0 || s.R != 0) &&
+	if fast && !shared && (s.W != 0 || s.R != 0) &&
 		(s.W == 0 || s.W.TID() == t) && (s.R == 0 || s.R.TID() == t) {
 		if write {
-			s.W, s.wpos = e, pos
-			s.R, s.rpos = 0, bfj.Pos{}
+			s.W, s.wpos = e, pos.Pack()
+			s.R, s.rpos = 0, bfj.Pos32{}
 		} else {
-			s.R, s.rpos = e, pos
+			s.R, s.rpos = e, pos.Pack()
 		}
 		return nil, Owned, 0
 	}
-	before := s.Words()
 	if !s.W.LEQ(now) {
 		race = &Race{PrevTID: s.W.TID(), CurTID: t, IsWrite: write, PrevW: true,
-			PrevPos: s.wpos, CurPos: pos}
+			PrevPos: s.wpos.Unpack(), CurPos: pos}
 	}
 	switch {
 	case write:
-		if s.shared() {
-			if u := s.RV.AnyGreater(now); u >= 0 && race == nil {
+		if shared {
+			rv := &vs.vs[s.slot()]
+			if u := rv.AnyGreater(now); u >= 0 && race == nil {
 				race = &Race{PrevTID: u, CurTID: t, IsWrite: true, PrevW: false,
-					PrevPos: s.rpos, CurPos: pos}
+					PrevPos: s.rpos.Unpack(), CurPos: pos}
 			}
-			s.RV.Clear() // deflate: reads are now ordered or reported
+			dw = -rv.Words()
+			vs.release(s.slot()) // deflate: reads are now ordered or reported
 		} else if !s.R.LEQ(now) && race == nil {
 			race = &Race{PrevTID: s.R.TID(), CurTID: t, IsWrite: true, PrevW: false,
-				PrevPos: s.rpos, CurPos: pos}
+				PrevPos: s.rpos.Unpack(), CurPos: pos}
 		}
-		s.W, s.wpos = e, pos
-		s.R, s.rpos = 0, bfj.Pos{}
-	case s.shared() && fast && s.RV.LEQ(now):
-		// Clear keeps the vector's storage for the next promotion.
-		s.RV.Clear()
-		s.R, s.rpos = e, pos
+		s.W, s.wpos = e, pos.Pack()
+		s.R, s.rpos = 0, bfj.Pos32{}
+	case shared && fast && vs.vs[s.slot()].LEQ(now):
+		dw = -vs.vs[s.slot()].Words()
+		vs.release(s.slot())
+		s.R, s.rpos = e, pos.Pack()
 		step = Demoted
-	case s.shared():
-		s.RV.Set(t, e.Clock())
-		s.rpos = pos
+	case shared:
+		rv := &vs.vs[s.slot()]
+		before := rv.Words()
+		rv.Set(t, e.Clock())
+		dw = rv.Words() - before
+		s.rpos = pos.Pack()
 	case s.R.LEQ(now):
-		s.R, s.rpos = e, pos // exclusive
+		s.R, s.rpos = e, pos.Pack() // exclusive
 	default:
-		// Concurrent reads: inflate to a read vector.  Set re-extends any
-		// storage a previous demotion left behind (see Clear), so a
-		// promote↔demote churn cycle allocates at most once.
-		s.RV.Set(max(s.R.TID(), t), 0)
-		s.RV.Set(s.R.TID(), s.R.Clock())
-		s.RV.Set(t, e.Clock())
-		s.R, s.rpos = 0, pos
+		// Concurrent reads: inflate to a read vector.
+		i := vs.alloc()
+		rv := &vs.vs[i]
+		rv.Set(max(s.R.TID(), t), 0)
+		rv.Set(s.R.TID(), s.R.Clock())
+		rv.Set(t, e.Clock())
+		dw = rv.Words()
+		s.R, s.rpos = sharedBit|vc.Epoch(i), pos.Pack()
 		step = Promoted
 	}
-	return race, step, s.Words() - before
+	return race, step, dw
 }
 
 // Words reports the state's size in 64-bit words for the space census:
-// two epoch words plus any read vector.
-func (s *State) Words() int { return 2 + s.RV.Words() }
+// two epoch words plus any read vector, which vs holds.
+func (s *State) Words(vs *Vectors) int {
+	if s.shared() {
+		return 2 + vs.vs[s.slot()].Words()
+	}
+	return 2
+}
 
 // Untouched reports whether the state has never seen an access.  Used
 // by the incremental census to charge a state's base two words on first
 // touch: epochs pack clock@tid with clocks starting at 1, so any access
-// installs a non-zero W or R (or inflates RV), and a later write that
-// deflates RV leaves W non-zero — a touched state never reads as
-// untouched again.
-func (s *State) Untouched() bool { return s.W.IsZero() && s.R.IsZero() && !s.shared() }
+// installs a non-zero W or R (a read-shared R carries sharedBit), and a
+// later write that deflates the vector leaves W non-zero — a touched
+// state never reads as untouched again.
+func (s *State) Untouched() bool { return s.W == 0 && s.R == 0 }
+
+// StateBytes is the size of one State, for counting held bytes.
+const StateBytes = int(unsafe.Sizeof(State{}))
+
+// Vectors is one run's table of read vectors, one slot per read-shared
+// state.  A state frees its slot when a write deflates the vector or a
+// read demotes it; the slot keeps its storage for the next promotion,
+// which takes the most recently freed slot.  The detector and the
+// oracle each own one table, shared by every state they keep.
+type Vectors struct {
+	vs   []vc.VC // slot → read vector; a free slot's is empty
+	free []int   // free slots, taken last in, first out
+}
+
+// alloc returns a free slot, whose vector is empty.
+func (t *Vectors) alloc() int {
+	if n := len(t.free); n > 0 {
+		i := t.free[n-1]
+		t.free = t.free[:n-1]
+		return i
+	}
+	t.vs = append(t.vs, vc.VC{})
+	return len(t.vs) - 1
+}
+
+// release empties slot i's vector, keeping its storage, and frees the
+// slot.
+func (t *Vectors) release(i int) {
+	t.vs[i].Clear()
+	t.free = append(t.free, i)
+}
+
+// copyOf returns a copy of s for another shadow location: a read-shared
+// copy gets its own slot holding the same vector, so the copies never
+// share one.
+func (t *Vectors) copyOf(s State) State {
+	if s.shared() {
+		i := t.alloc()
+		t.vs[i].Assign(t.vs[s.slot()])
+		s.R = sharedBit | vc.Epoch(i)
+	}
+	return s
+}
+
+// drop frees the slot of a read-shared state that a refinement
+// discards.
+func (t *Vectors) drop(s *State) {
+	if s.shared() {
+		t.release(s.slot())
+		s.R = 0
+	}
+}
+
+// Slots reports the number of slots the table holds, in use or free.
+func (t *Vectors) Slots() int { return len(t.vs) }
+
+// HeldBytes reports the bytes the table holds: the slot and free-list
+// storage and every vector's components, spare capacity included.
+func (t *Vectors) HeldBytes() int {
+	b := int(unsafe.Sizeof(vc.VC{}))*cap(t.vs) + int(unsafe.Sizeof(int(0)))*cap(t.free)
+	for _, v := range t.vs {
+		b += 8 * v.Cap()
+	}
+	return b
+}
 
 // ---------------------------------------------------------------------------
 // Adaptive array shadow state (SlimState / BigFoot §4)
@@ -221,6 +315,9 @@ type ArrayShadow struct {
 
 	fine []State
 
+	// vs holds the read vectors of the states above.
+	vs *Vectors
+
 	// Refinements counts representation changes (reported in ablations).
 	Refinements int
 
@@ -245,10 +342,10 @@ type ArrayShadow struct {
 }
 
 // NewArrayShadow builds the initial (coarse) shadow for an array of n
-// elements.
-func NewArrayShadow(n int) *ArrayShadow {
+// elements, whose read vectors vs holds.
+func NewArrayShadow(n int, vs *Vectors) *ArrayShadow {
 	// The coarse representation is one State: two words.
-	return &ArrayShadow{n: n, mode: ModeCoarse, words: 2}
+	return &ArrayShadow{n: n, mode: ModeCoarse, vs: vs, words: 2}
 }
 
 // SetMeter attaches a meter that receives every subsequent word-count
@@ -282,26 +379,29 @@ func (a *ArrayShadow) Words() int { return a.words }
 func (a *ArrayShadow) WalkWords() int {
 	switch a.mode {
 	case ModeCoarse:
-		return a.coarse.Words()
+		return a.coarse.Words(a.vs)
 	case ModeBlocks:
-		w := len(a.bounds)
-		for i := range a.segs {
-			w += a.segs[i].Words()
-		}
-		return w
+		return len(a.bounds) + a.statesWords(a.segs)
 	case ModeStrided:
-		w := 1
-		for i := range a.strided {
-			w += a.strided[i].Words()
-		}
-		return w
+		return 1 + a.statesWords(a.strided)
 	default:
-		w := 0
-		for i := range a.fine {
-			w += a.fine[i].Words()
-		}
-		return w
+		return a.statesWords(a.fine)
 	}
+}
+
+func (a *ArrayShadow) statesWords(states []State) int {
+	w := 0
+	for i := range states {
+		w += states[i].Words(a.vs)
+	}
+	return w
+}
+
+// HeldBytes reports the bytes the representation holds: its states,
+// spare capacity included, and the blocks mode's bounds.  Read vectors
+// count in the Vectors table.
+func (a *ArrayShadow) HeldBytes() int {
+	return StateBytes*(1+cap(a.segs)+cap(a.strided)+cap(a.fine)) + int(unsafe.Sizeof(int(0)))*cap(a.bounds)
 }
 
 // Commit applies a (possibly strided) range operation [lo,hi):step of
@@ -324,7 +424,7 @@ func (a *ArrayShadow) Commit(write bool, t int, now vc.VC, lo, hi, step int, pos
 	var races []*Race
 	var ops uint64
 	apply := func(s *State) {
-		r, how, dw := s.Access(write, t, now, pos, a.Fast)
+		r, how, dw := s.Access(a.vs, write, t, now, pos, a.Fast)
 		if r != nil {
 			races = append(races, r)
 		}
@@ -392,6 +492,9 @@ func (a *ArrayShadow) column(lo, hi, step int) bool {
 	return lo < step && lo+(hi-1-lo)/step*step >= a.n-step
 }
 
+// commitBlocks applies [lo,hi) in blocks mode: it makes lo and hi
+// segment bounds, then applies the segments between them in ascending
+// order, found by binary search.
 func (a *ArrayShadow) commitBlocks(apply func(*State), lo, hi int) {
 	a.splitAt(lo)
 	a.splitAt(hi)
@@ -402,10 +505,9 @@ func (a *ArrayShadow) commitBlocks(apply func(*State), lo, hi int) {
 		}
 		return
 	}
-	for i := 0; i < len(a.segs); i++ {
-		if a.bounds[i] >= lo && a.bounds[i+1] <= hi {
-			apply(&a.segs[i])
-		}
+	i, _ := slices.BinarySearch(a.bounds, lo)
+	for ; a.bounds[i] < hi; i++ {
+		apply(&a.segs[i])
 	}
 }
 
@@ -416,42 +518,28 @@ func (a *ArrayShadow) commitFine(apply func(*State), lo, hi, step int) {
 }
 
 // splitAt introduces a segment boundary at index k (no-op if already a
-// boundary or out of range).
+// boundary or out of range).  The segment k falls in is found by binary
+// search; its two halves start as copies of it.
 func (a *ArrayShadow) splitAt(k int) {
 	if k <= 0 || k >= a.n {
 		return
 	}
-	for i := 0; i < len(a.bounds)-1; i++ {
-		if a.bounds[i] == k {
-			return
-		}
-		if a.bounds[i] < k && k < a.bounds[i+1] {
-			a.bounds = append(a.bounds, 0)
-			copy(a.bounds[i+2:], a.bounds[i+1:])
-			a.bounds[i+1] = k
-			a.segs = append(a.segs, State{})
-			copy(a.segs[i+1:], a.segs[i:])
-			a.segs[i+1] = cloneState(a.segs[i])
-			// One new bound word plus the cloned segment state.
-			a.addw(1 + a.segs[i+1].Words())
-			return
-		}
+	i, found := slices.BinarySearch(a.bounds, k)
+	if found {
+		return
 	}
-}
-
-func cloneState(s State) State {
-	// Copy unconditionally: a demotion-cleared read vector has length 0
-	// but retains capacity, and a struct copy would share that backing
-	// array — a later re-inflation of either copy would then clobber the
-	// other's live components.  Copying an empty vector is free.
-	s.RV = s.RV.Copy()
-	return s
+	// k lies inside segment i-1, [bounds[i-1], bounds[i]).
+	a.bounds = slices.Insert(a.bounds, i, k)
+	a.segs = slices.Insert(a.segs, i, a.vs.copyOf(a.segs[i-1]))
+	// One new bound word plus the copied segment state.
+	a.addw(1 + a.segs[i].Words(a.vs))
 }
 
 func (a *ArrayShadow) toBlocks() {
 	a.mode = ModeBlocks
 	a.bounds = []int{0, a.n}
 	a.segs = []State{a.coarse}
+	a.coarse = State{}
 	a.Refinements++
 	// The coarse state moved into segs[0] unchanged; the two bound
 	// words are new.
@@ -459,44 +547,49 @@ func (a *ArrayShadow) toBlocks() {
 }
 
 func (a *ArrayShadow) toStrided(k int) {
-	cw := a.coarse.Words()
+	cw := a.coarse.Words(a.vs)
 	a.mode = ModeStrided
 	a.stride = k
 	a.strided = make([]State, k)
-	for j := range a.strided {
-		a.strided[j] = cloneState(a.coarse)
+	a.strided[0] = a.coarse
+	for j := 1; j < k; j++ {
+		a.strided[j] = a.vs.copyOf(a.coarse)
 	}
+	a.coarse = State{}
 	a.Refinements++
-	// From one coarse state (cw words) to the stride word plus k clones.
+	// From one coarse state (cw words) to the stride word plus k copies.
 	a.addw(1 + k*cw - cw)
 }
 
-// toFine reverts to one state per element, duplicating the current
-// representation's state into each covered element.
+// toFine reverts to one state per element, copying the current
+// representation's state into each covered element.  The old
+// representation's states are discarded and free their slots.
 func (a *ArrayShadow) toFine() {
 	fine := make([]State, a.n)
 	switch a.mode {
 	case ModeCoarse:
 		for i := range fine {
-			fine[i] = cloneState(a.coarse)
+			fine[i] = a.vs.copyOf(a.coarse)
 		}
+		a.vs.drop(&a.coarse)
 	case ModeBlocks:
-		for s := 0; s < len(a.segs); s++ {
+		for s := range a.segs {
 			for i := a.bounds[s]; i < a.bounds[s+1]; i++ {
-				fine[i] = cloneState(a.segs[s])
+				fine[i] = a.vs.copyOf(a.segs[s])
 			}
+			a.vs.drop(&a.segs[s])
 		}
 	case ModeStrided:
 		for i := range fine {
-			fine[i] = cloneState(a.strided[i%a.stride])
+			fine[i] = a.vs.copyOf(a.strided[i%a.stride])
+		}
+		for j := range a.strided {
+			a.vs.drop(&a.strided[j])
 		}
 	case ModeFine:
 		return
 	}
-	nw := 0
-	for i := range fine {
-		nw += fine[i].Words()
-	}
+	nw := a.statesWords(fine)
 	a.mode = ModeFine
 	a.fine = fine
 	a.bounds, a.segs, a.strided = nil, nil, nil

@@ -1,9 +1,13 @@
 package shadow
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"bigfoot/internal/bfj"
 	"bigfoot/internal/vc"
@@ -18,15 +22,19 @@ func mkVC(cs ...uint64) vc.VC {
 	return v
 }
 
+// testVectors holds the read vectors of the single-location tests'
+// states.
+var testVectors Vectors
+
 // read and write run the protocol, without shortcuts, for one access
 // of thread t at vector time now.
 func read(s *State, t int, now vc.VC) *Race {
-	r, _, _ := s.Access(false, t, now, bfj.Pos{}, false)
+	r, _, _ := s.Access(&testVectors, false, t, now, bfj.Pos{}, false)
 	return r
 }
 
 func write(s *State, t int, now vc.VC) *Race {
-	r, _, _ := s.Access(true, t, now, bfj.Pos{}, false)
+	r, _, _ := s.Access(&testVectors, true, t, now, bfj.Pos{}, false)
 	return r
 }
 
@@ -146,6 +154,7 @@ func TestFastTrackMatchesNaiveDetector(t *testing.T) {
 			clocks[i].Set(i, 1)
 		}
 		var trace []access
+		var vs Vectors
 		var ft State
 		ftRace := false
 		naiveRace := false
@@ -171,20 +180,20 @@ func TestFastTrackMatchesNaiveDetector(t *testing.T) {
 			}
 			trace = append(trace, a)
 			pos := bfj.Pos{Line: step + 1}
-			slow := ft
-			slow.RV = ft.RV.Copy()
-			slowRace, _, _ := slow.Access(write, tid, now, pos, false)
-			r, how, _ := ft.Access(write, tid, now, pos, fast)
+			slow := vs.copyOf(ft)
+			slowRace, _, _ := slow.Access(&vs, write, tid, now, pos, false)
+			r, how, _ := ft.Access(&vs, write, tid, now, pos, fast)
 			if r != nil {
 				ftRace = true
 			}
 			if how == SameEpoch || how == Owned {
 				shortcuts[how]++
-				if slowRace != nil || !sameState(&ft, &slow) {
+				if slowRace != nil || !sameState(&vs, &ft, &slow) {
 					t.Logf("seed %d step %d: shortcut %d left %+v, protocol %+v (race %+v)", seed, step, how, ft, slow, slowRace)
 					return false
 				}
 			}
+			vs.drop(&slow)
 			// Tick only sometimes, so a thread also repeats its epoch.
 			if rng.Intn(2) == 0 {
 				clocks[tid].Tick(tid)
@@ -204,10 +213,14 @@ func TestFastTrackMatchesNaiveDetector(t *testing.T) {
 }
 
 // sameState reports whether two states record the same epochs, read
-// vector and positions.
-func sameState(a, b *State) bool {
-	return a.W == b.W && a.R == b.R && a.wpos == b.wpos && a.rpos == b.rpos &&
-		a.RV.String() == b.RV.String()
+// vector contents and positions; read-shared states compare their
+// vectors, not their slots.
+func sameState(vs *Vectors, a, b *State) bool {
+	if a.shared() || b.shared() {
+		return a.shared() && b.shared() && a.W == b.W && a.wpos == b.wpos && a.rpos == b.rpos &&
+			vs.vs[a.slot()].String() == vs.vs[b.slot()].String()
+	}
+	return a.W == b.W && a.R == b.R && a.wpos == b.wpos && a.rpos == b.rpos
 }
 
 // ---------------------------------------------------------------------------
@@ -215,7 +228,7 @@ func sameState(a, b *State) bool {
 // ---------------------------------------------------------------------------
 
 func TestArrayShadowStaysCoarseOnWholeArrayCommits(t *testing.T) {
-	a := NewArrayShadow(1000)
+	a := NewArrayShadow(1000, &Vectors{})
 	races, ops := a.Commit(true, 0, mkVC(1, 0), 0, 1000, 1, bfj.Pos{})
 	if len(races) != 0 || ops != 1 {
 		t.Fatalf("whole-array commit: races=%v ops=%d", races, ops)
@@ -229,7 +242,7 @@ func TestArrayShadowStaysCoarseOnWholeArrayCommits(t *testing.T) {
 }
 
 func TestArrayShadowRefinesToBlocks(t *testing.T) {
-	a := NewArrayShadow(100)
+	a := NewArrayShadow(100, &Vectors{})
 	a.Commit(true, 0, mkVC(1, 0), 0, 100, 1, bfj.Pos{})
 	_, ops := a.Commit(true, 0, mkVC(2, 0), 0, 50, 1, bfj.Pos{})
 	if a.Mode() != ModeBlocks {
@@ -246,7 +259,7 @@ func TestArrayShadowRefinesToBlocks(t *testing.T) {
 }
 
 func TestArrayShadowStridedMode(t *testing.T) {
-	a := NewArrayShadow(1024)
+	a := NewArrayShadow(1024, &Vectors{})
 	// Two threads commit interleaved residues, full columns.
 	if races, ops := a.Commit(true, 0, mkVC(1, 0), 0, 1024, 2, bfj.Pos{}); len(races) != 0 || ops != 1 {
 		t.Fatalf("first strided commit: races=%v ops=%d", races, ops)
@@ -264,7 +277,7 @@ func TestArrayShadowStridedMode(t *testing.T) {
 }
 
 func TestArrayShadowRevertsToFine(t *testing.T) {
-	a := NewArrayShadow(64)
+	a := NewArrayShadow(64, &Vectors{})
 	a.Commit(true, 0, mkVC(1, 0), 0, 64, 2, bfj.Pos{}) // strided
 	a.Commit(true, 0, mkVC(2, 0), 3, 17, 1, bfj.Pos{}) // inconsistent: revert
 	if a.Mode() != ModeFine {
@@ -281,7 +294,7 @@ func TestArrayShadowRevertsToFine(t *testing.T) {
 }
 
 func TestArrayShadowBlocksDegenerateToFine(t *testing.T) {
-	a := NewArrayShadow(4096)
+	a := NewArrayShadow(4096, &Vectors{})
 	now := mkVC(1, 0)
 	// Many unaligned commits exceed the block budget.
 	for i := 0; i < maxBlockSegments+10; i++ {
@@ -293,7 +306,7 @@ func TestArrayShadowBlocksDegenerateToFine(t *testing.T) {
 }
 
 func TestArrayShadowClampsBounds(t *testing.T) {
-	a := NewArrayShadow(10)
+	a := NewArrayShadow(10, &Vectors{})
 	if _, ops := a.Commit(true, 0, mkVC(1, 0), -5, 20, 1, bfj.Pos{}); ops == 0 {
 		t.Error("clamped commit should still perform ops")
 	}
@@ -302,7 +315,7 @@ func TestArrayShadowClampsBounds(t *testing.T) {
 	}
 	// A strided range keeps its stride when its lower bound is clamped:
 	// [-1,10):2 is the odd elements, so thread 1's write of 0 is apart.
-	a = NewArrayShadow(10)
+	a = NewArrayShadow(10, &Vectors{})
 	a.Commit(true, 0, mkVC(1, 0), -1, 10, 2, bfj.Pos{})
 	if races, _ := a.Commit(true, 1, mkVC(0, 1), 0, 1, 1, bfj.Pos{}); len(races) != 0 {
 		t.Error("clamping [-1,10):2 moved it onto the even elements")
@@ -314,7 +327,7 @@ func TestArrayShadowClampsBounds(t *testing.T) {
 // not claim element 8 for its thread, whether it lands on a coarse
 // shadow or on a strided one of the same stride.
 func TestArrayShadowShortColumn(t *testing.T) {
-	a := NewArrayShadow(10)
+	a := NewArrayShadow(10, &Vectors{})
 	if races, _ := a.Commit(true, 0, mkVC(1, 0), 2, 8, 3, bfj.Pos{}); len(races) != 0 {
 		t.Fatalf("first commit raced: %v", races)
 	}
@@ -322,7 +335,7 @@ func TestArrayShadowShortColumn(t *testing.T) {
 		t.Errorf("element 8, outside [2,8):3, raced (mode %v)", a.Mode())
 	}
 
-	a = NewArrayShadow(10)
+	a = NewArrayShadow(10, &Vectors{})
 	a.Commit(true, 0, mkVC(1, 0), 0, 10, 3, bfj.Pos{}) // a whole column: strided
 	if a.Mode() != ModeStrided {
 		t.Fatalf("mode = %v, want strided", a.Mode())
@@ -340,7 +353,7 @@ func TestArrayShadowNeverMissesElementRace(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 32 + rng.Intn(64)
-		a := NewArrayShadow(n)
+		a := NewArrayShadow(n, &Vectors{})
 		// Random refinement-provoking history by thread 0.
 		now0 := mkVC(1, 0)
 		for i := 0; i < 6; i++ {
@@ -366,7 +379,7 @@ func TestArrayShadowNoFalseAlarmOnDisjointBlocks(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 64
-		a := NewArrayShadow(n)
+		a := NewArrayShadow(n, &Vectors{})
 		cut := 8 + rng.Intn(48)
 		r1, _ := a.Commit(true, 0, mkVC(1, 0), 0, cut, 1, bfj.Pos{})
 		r2, _ := a.Commit(true, 1, mkVC(0, 1), cut, n, 1, bfj.Pos{})
@@ -374,5 +387,288 @@ func TestArrayShadowNoFalseAlarmOnDisjointBlocks(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Compact state: size, the read-vector table, refinement copies
+// ---------------------------------------------------------------------------
+
+// TestStateIsCompact pins the State layout: 32 bytes, no pointer, so a
+// slice of states is memory the garbage collector never scans.
+func TestStateIsCompact(t *testing.T) {
+	if n := unsafe.Sizeof(State{}); n != 32 {
+		t.Errorf("State takes %d bytes, want 32", n)
+	}
+	var noPointers func(reflect.Type) bool
+	noPointers = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if !noPointers(typ.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		case reflect.Array:
+			return noPointers(typ.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			return true
+		}
+		return false
+	}
+	if !noPointers(reflect.TypeOf(State{})) {
+		t.Error("State holds a pointer, slice, map or interface")
+	}
+}
+
+// TestChurnReusesOneSlot: promote → extend → demote cycles on one
+// location take the slot the last demotion freed, with its storage, so
+// the table stays at one slot and the cycle allocates nothing.
+func TestChurnReusesOneSlot(t *testing.T) {
+	var vs Vectors
+	var s State
+	// Threads 1 and 2 read concurrently; thread 3 has seen both reads.
+	c1, c2, c3 := mkVC(0, 5, 0, 0), mkVC(0, 0, 5, 0), mkVC(0, 6, 6, 1)
+	promos, demos := 0, 0
+	count := func(step Step) {
+		switch step {
+		case Promoted:
+			promos++
+		case Demoted:
+			demos++
+		}
+	}
+	cycle := func() {
+		_, step, _ := s.Access(&vs, false, 1, c1, bfj.Pos{}, true)
+		count(step)
+		_, step, _ = s.Access(&vs, false, 2, c2, bfj.Pos{}, true)
+		count(step)
+		_, step, _ = s.Access(&vs, false, 3, c3, bfj.Pos{}, true)
+		count(step)
+	}
+	cycle()
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		t.Errorf("churn cycle allocates %v times, want 0", a)
+	}
+	if promos != 102 || demos != 102 {
+		t.Errorf("102 cycles made %d promotions and %d demotions, want one each per cycle", promos, demos)
+	}
+	if n := vs.Slots(); n != 1 {
+		t.Errorf("churn left %d slots in the table, want 1", n)
+	}
+}
+
+// stateAt returns the state covering element i in a's representation.
+func stateAt(a *ArrayShadow, i int) *State {
+	switch a.mode {
+	case ModeCoarse:
+		return &a.coarse
+	case ModeBlocks:
+		j, found := slices.BinarySearch(a.bounds, i)
+		if !found {
+			j--
+		}
+		return &a.segs[j]
+	case ModeStrided:
+		return &a.strided[i%a.stride]
+	default:
+		return &a.fine[i]
+	}
+}
+
+// liveStates returns the states of a's current representation.
+func liveStates(a *ArrayShadow) []State {
+	switch a.mode {
+	case ModeCoarse:
+		return []State{a.coarse}
+	case ModeBlocks:
+		return a.segs
+	case ModeStrided:
+		return a.strided
+	default:
+		return a.fine
+	}
+}
+
+// TestRefinementCopiesVectors: refining a read-shared coarse, blocks or
+// strided state gives every copy its own slot holding the same vector,
+// and a later write to one element deflates that element's vector
+// only.  Every commit below replays a recorded read at its own time, so
+// no vector changes until the write.
+func TestRefinementCopiesVectors(t *testing.T) {
+	const n = 12
+	r0, r1 := mkVC(1, 0, 0), mkVC(0, 1, 0)
+	shared := func() (*ArrayShadow, *Vectors) {
+		vs := &Vectors{}
+		a := NewArrayShadow(n, vs)
+		a.Commit(false, 0, r0, 0, n, 1, bfj.Pos{})
+		a.Commit(false, 1, r1, 0, n, 1, bfj.Pos{})
+		return a, vs
+	}
+	routes := []struct {
+		name string
+		mode ArrayMode
+		// refine replays reads that refine a read-shared coarse shadow.
+		refine func(a *ArrayShadow)
+	}{
+		{"coarse-to-blocks", ModeBlocks, func(a *ArrayShadow) {
+			a.Commit(false, 0, r0, 4, 8, 1, bfj.Pos{})
+		}},
+		{"coarse-to-strided", ModeStrided, func(a *ArrayShadow) {
+			a.Commit(false, 0, r0, 0, n, 3, bfj.Pos{})
+		}},
+		{"coarse-to-fine", ModeFine, func(a *ArrayShadow) {
+			a.Commit(false, 0, r0, 1, 7, 2, bfj.Pos{})
+		}},
+		{"blocks-to-fine", ModeFine, func(a *ArrayShadow) {
+			a.Commit(false, 0, r0, 4, 8, 1, bfj.Pos{})
+			a.Commit(false, 1, r1, 1, 7, 2, bfj.Pos{})
+		}},
+		{"strided-to-fine", ModeFine, func(a *ArrayShadow) {
+			a.Commit(false, 0, r0, 0, n, 3, bfj.Pos{})
+			a.Commit(false, 1, r1, 2, 9, 1, bfj.Pos{})
+		}},
+	}
+	// ownVectors checks that every read-shared state of a holds its own
+	// slot, that each vector but the one covering skip reads [1 1], and
+	// that the states refinements discarded freed theirs: the slots in
+	// use are exactly the live states'.
+	ownVectors := func(t *testing.T, a *ArrayShadow, vs *Vectors, skip *State) {
+		t.Helper()
+		seen := map[int]bool{}
+		for i := range liveStates(a) {
+			s := &liveStates(a)[i]
+			if s == skip {
+				continue
+			}
+			if !s.shared() {
+				t.Fatalf("state %d of %v shadow is not read-shared", i, a.Mode())
+			}
+			if seen[s.slot()] {
+				t.Fatalf("two states of the %v shadow share slot %d", a.Mode(), s.slot())
+			}
+			seen[s.slot()] = true
+			if got := vs.vs[s.slot()].String(); got != "[1 1]" {
+				t.Errorf("state %d of the %v shadow reads %s, want [1 1]", i, a.Mode(), got)
+			}
+		}
+		if inUse := vs.Slots() - len(vs.free); inUse != len(seen) {
+			t.Errorf("%d slots in use, %d read-shared states", inUse, len(seen))
+		}
+		if w := a.WalkWords(); w != a.Words() {
+			t.Errorf("census %d, walk %d", a.Words(), w)
+		}
+	}
+	for _, r := range routes {
+		t.Run(r.name, func(t *testing.T) {
+			a, vs := shared()
+			r.refine(a)
+			if a.Mode() != r.mode {
+				t.Fatalf("mode %v, want %v", a.Mode(), r.mode)
+			}
+			ownVectors(t, a, vs, nil)
+			// Thread 2 writes element 5 after both reads: no race, and the
+			// covering state's vector deflates.
+			if races, _ := a.Commit(true, 2, mkVC(1, 1, 1), 5, 6, 1, bfj.Pos{}); len(races) != 0 {
+				t.Fatalf("ordered write raced: %+v", races[0])
+			}
+			w := stateAt(a, 5)
+			if w.shared() || w.W == 0 {
+				t.Fatalf("written element's state %+v, want a write epoch and no vector", *w)
+			}
+			ownVectors(t, a, vs, w)
+		})
+	}
+}
+
+// TestPositionsPackToInt32: a race cites the earlier access's position
+// at the edge of int32 exactly, and one past it as unknown.
+func TestPositionsPackToInt32(t *testing.T) {
+	for _, c := range []struct {
+		pos, want bfj.Pos
+	}{
+		{bfj.Pos{Line: math.MaxInt32, Col: math.MaxInt32}, bfj.Pos{Line: math.MaxInt32, Col: math.MaxInt32}},
+		{bfj.Pos{Line: math.MaxInt32 + 1, Col: 1}, bfj.Pos{}},
+		{bfj.Pos{Line: 3, Col: math.MaxInt32 + 1}, bfj.Pos{}},
+	} {
+		var vs Vectors
+		var s State
+		s.Access(&vs, true, 0, mkVC(1, 0), c.pos, false)
+		r, _, _ := s.Access(&vs, true, 1, mkVC(0, 1), bfj.Pos{Line: 9, Col: 9}, false)
+		if r == nil {
+			t.Fatal("concurrent writes did not race")
+		}
+		if r.PrevPos != c.want {
+			t.Errorf("write at %v: race cites %v, want %v", c.pos, r.PrevPos, c.want)
+		}
+		if c.want == (bfj.Pos{}) && r.PrevPos.String() != "?" {
+			t.Errorf("unknown position prints %q, want ?", r.PrevPos.String())
+		}
+	}
+}
+
+// TestCommitBlocksMatchesLinearScan: over random commit sequences, a
+// blocks-mode commit adds the segment bounds a linear insertion adds
+// and applies exactly the segments inside [lo,hi), in ascending order,
+// as the linear scan it replaced found them.  Each apply stamps its
+// segment with the commit's number, and every element must read the
+// number of the last commit that covered it, so a split that copies
+// the wrong segment fails too.
+func TestCommitBlocksMatchesLinearScan(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 8 + rng.Intn(120)
+		a := NewArrayShadow(n, &Vectors{})
+		a.toBlocks()
+		ref := []int{0, n}
+		last := make([]vc.Epoch, n) // element -> last commit covering it
+		for op := 0; op < 40; op++ {
+			lo := rng.Intn(n)
+			hi := lo + 1
+			if rng.Intn(3) == 0 {
+				hi = lo + 1 + rng.Intn(n-lo)
+			}
+			// The reference: insert each new bound by a linear scan.
+			for _, k := range []int{lo, hi} {
+				if k > 0 && k < n && !slices.Contains(ref, k) {
+					i := 0
+					for ref[i] < k {
+						i++
+					}
+					ref = slices.Insert(ref, i, k)
+				}
+			}
+			var applied []*State
+			stamp := vc.Epoch(op + 1)
+			a.commitBlocks(func(s *State) {
+				applied = append(applied, s)
+				s.W = stamp
+			}, lo, hi)
+			if a.Mode() != ModeBlocks {
+				break // past maxBlockSegments: the commit went fine-grained
+			}
+			for i := lo; i < hi; i++ {
+				last[i] = stamp
+			}
+			for i := range last {
+				if w := stateAt(a, i).W; w != last[i] {
+					t.Fatalf("seed %d op %d: element %d reads commit %d, last covered by %d", seed, op, i, w, last[i])
+				}
+			}
+			if !slices.Equal(a.bounds, ref) {
+				t.Fatalf("seed %d op %d: bounds %v, linear insertion %v", seed, op, a.bounds, ref)
+			}
+			var want []*State
+			for i := 0; i < len(a.segs); i++ {
+				if a.bounds[i] >= lo && a.bounds[i+1] <= hi {
+					want = append(want, &a.segs[i])
+				}
+			}
+			if !slices.Equal(applied, want) {
+				t.Fatalf("seed %d op %d: [%d,%d) applied %d segments, the linear scan %d or in another order", seed, op, lo, hi, len(applied), len(want))
+			}
+		}
 	}
 }

@@ -809,6 +809,12 @@ func (rd *Reader) event(d *decoder, h interp.Hook) error {
 		y = int(d.i())
 		z = int(d.i())
 		poss = rd.posSet(d)
+		// The interpreter clamps every checked range into its array, and
+		// the detectors rely on it (footprint entries hold int32 bounds),
+		// so no live run records a range that is not.
+		if a != nil && !(0 <= x && x < y && y <= a.Len() && z >= 1) {
+			d.fail(fmt.Sprintf("check range [%d,%d):%d outside an array of length %d", x, y, z, a.Len()))
+		}
 	default:
 		return fmt.Errorf("trace: unknown opcode %d at event %d", op, rd.total)
 	}

@@ -201,3 +201,34 @@ func TestReplayBoundsHeap(t *testing.T) {
 		t.Fatalf("replaying an array of length %d: err %v, want the MaxHeapWords bound", interp.MaxHeapWords, err)
 	}
 }
+
+// TestReplayRejectsCheckRangeOutsideArray: a trace whose check range
+// does not lie inside its array fails to decode, as no live run can
+// record one: the interpreter clamps every checked range into its
+// array.
+func TestReplayRejectsCheckRangeOutsideArray(t *testing.T) {
+	for _, c := range []struct{ lo, hi, step int }{
+		{2, 9, 1},       // past the end
+		{-1, 3, 1},      // before the start
+		{3, 3, 1},       // empty
+		{0, 4, 0},       // no stride
+		{0, 1 << 40, 1}, // past int32
+	} {
+		var buf bytes.Buffer
+		tw, err := NewWriter(&buf, Header{Program: "bad", Variant: "FT"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tw.CheckRange(1, true, &interp.Array{ID: 1, Elems: make([]interp.Value, 4)}, c.lo, c.hi, c.step, nil)
+		if err := tw.Close(interp.Counters{}, nil); err != nil {
+			t.Fatal(err)
+		}
+		rd, err := NewReader(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rd.Replay(interp.NopHook{}); err == nil || !strings.Contains(err.Error(), "outside an array of length 4") {
+			t.Errorf("replaying check range [%d,%d):%d: err %v, want it rejected", c.lo, c.hi, c.step, err)
+		}
+	}
+}

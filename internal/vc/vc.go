@@ -21,6 +21,12 @@ type Epoch uint64
 // MakeEpoch packs clock c of thread t.  Callers must ensure
 // t < MaxThreads (the interpreter enforces this at fork time); the mask
 // here is defense in depth, not an invitation to alias ids.
+//
+// Bit 63 of an epoch is clear while c < 2^55.  Shadow states rely on
+// it: a read-shared state tags its read word with bit 63 (see
+// shadow.State), so that word never equals an epoch.  A clock ticks
+// once per synchronization operation, so a run would need 2^55 of them
+// to reach the bit.
 func MakeEpoch(t int, c uint64) Epoch {
 	return Epoch(c<<8 | uint64(t&0xff))
 }
@@ -167,6 +173,10 @@ func (v VC) AnyGreater(o VC) int {
 // Words reports the memory footprint of the clock in 64-bit words, for
 // the shadow-space census.
 func (v VC) Words() int { return len(v.c) }
+
+// Cap reports the components the clock's storage holds, spare capacity
+// included, for counting the bytes a detector holds.
+func (v VC) Cap() int { return cap(v.c) }
 
 // String renders the clock as [c0, c1, ...].
 func (v VC) String() string { return fmt.Sprint(v.c) }
